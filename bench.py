@@ -157,19 +157,18 @@ def run_bench() -> dict:
 
     # exchange-mode comparison (round-3 verdict #5): the default spill
     # exchange assumes exchange_dir is reachable by every node; the
-    # shuffle="hash" mode routes the epoch exchange through Ray's
-    # in-object-store hash shuffle with NO shared directory — the
-    # multi-node-safe fallback. Quantify what the spill dir buys.
+    # shuffle="sort" mode routes the epoch exchange through Ray's object
+    # store with NO shared directory — the multi-node-safe fallback.
+    # Quantify what the spill dir buys.
     exchange_evps = {}
     if not scaling_mode:
         exchange_evps["spill"] = round(events_per_sec, 1)
-        for sh in ("sort", "hash"):
-            best_x = 0.0
-            for _ in range(attempts):   # best-of-2, same as the headline
-                _, loop_x, n_x = one_cdc_run(mode, shuffle=sh)
-                if loop_x:
-                    best_x = max(best_x, n_x / loop_x)
-            exchange_evps[sh] = round(best_x, 1)
+        best_x = 0.0
+        for _ in range(attempts):   # best-of-2, same as the headline
+            _, loop_x, n_x = one_cdc_run(mode, shuffle="sort")
+            if loop_x:
+                best_x = max(best_x, n_x / loop_x)
+        exchange_evps["sort"] = round(best_x, 1)
 
     # skewed-key replay (round-4 verdict #4): one repo takes 50% of
     # events and one path is the hottest key (~25% of all events). The
@@ -410,7 +409,7 @@ def run_scaling() -> dict:
 
 
 def run_exchange() -> dict:
-    """spill-vs-sort-vs-hash exchange comparison under weather-immune
+    """spill-vs-sort exchange comparison under weather-immune
     conditions (shm lakes, best-of-2 per cell) at two epoch cadences —
     the controlled measurement behind the multi-node fallback guidance
     in CdcConfig.shuffle / docs/STORAGE.md (BASELINE.md r4). The plain
@@ -438,7 +437,7 @@ def run_exchange() -> dict:
     out: dict = {"metric": "cdc_exchange_comparison", "events": n_events,
                  "num_cpus": NUM_CPUS, "cells": {}}
     for label, n_epochs in (("micro4", 4), ("single1", 1)):
-        for sh in ("spill", "sort", "hash"):
+        for sh in ("spill", "sort"):
             best = 0.0
             for _ in range(2):
                 lake = f"/dev/shm/thor_ray_exch/{label}_{sh}"
@@ -455,9 +454,8 @@ def run_exchange() -> dict:
                 best = max(best, n / loop if loop else 0.0)
             out["cells"][f"{label}_{sh}"] = round(best, 1)
         sp = out["cells"][f"{label}_spill"]
-        for sh in ("sort", "hash"):
-            out["cells"][f"{label}_{sh}_vs_spill"] = round(
-                out["cells"][f"{label}_{sh}"] / sp, 3) if sp else None
+        out["cells"][f"{label}_sort_vs_spill"] = round(
+            out["cells"][f"{label}_sort"] / sp, 3) if sp else None
     ray.shutdown()
     return out
 

@@ -80,7 +80,7 @@ def assert_final(pipe, fixture):
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
-@pytest.mark.parametrize("shuffle,write_mode", [("hash", "cow"),
+@pytest.mark.parametrize("shuffle,write_mode", [("sort", "cow"),
                                                 ("spill", "delta")])
 def test_incremental_matches_oracle(ray_session, fixture, tmp_path,
                                     shuffle, write_mode):

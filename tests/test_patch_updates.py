@@ -127,11 +127,12 @@ def _assert_oracle(pipe, fixture):
 
 @pytest.mark.parametrize("shuffle,write_mode",
                          [("spill", "cow"), ("sort", "cow"),
-                          ("spill", "delta"), ("hash", "delta")])
+                          ("spill", "delta"), ("sort", "delta")])
 def test_patch_replay_matches_oracle(ray_session, patch_fixture, tmp_path,
                                      shuffle, write_mode):
-    """Vectorized patch fold (spill index-space + pandas paths) ==
-    single-process oracle, under dups, OOO, DDLs, and DLQ corruption."""
+    """Vectorized patch fold (one index-space reduction behind both
+    exchanges) == single-process oracle, under dups, OOO, DDLs, and DLQ
+    corruption."""
     cfg = CdcConfig(lake_dir=str(tmp_path / f"lake_{shuffle}_{write_mode}"),
                     binlog_dir=patch_fixture["binlog_dir"], num_partitions=8,
                     epoch_size=2_500, shuffle=shuffle, write_mode=write_mode,

@@ -261,6 +261,10 @@ def test_wire_codec_roundtrip():
         unframe_column(pa.array([b"\x01\x00\x00\x00\x00hi"], pa.binary()))
     with pytest.raises(ValueError, match="shorter than"):
         unframe_column(pa.array([b"\x00\x00"], pa.binary()))
+    # a well-framed record whose payload is not UTF-8 must not come back
+    # as a corrupt string array
+    with pytest.raises(ValueError, match="not valid UTF-8"):
+        unframe_column(pa.array([b"\x00\x00\x00\x00\x01\xff"], pa.binary()))
     with pytest.raises(ValueError, match="null payloads"):
         frame_column(pa.array(["a", None], pa.string()),
                      np.zeros(2, np.uint32))
@@ -295,8 +299,9 @@ def test_wire_codec_vectorized_large_batch():
 
 def test_wire_codec_adversarial_bytes():
     """Property: unframe over arbitrary byte payloads either round-trips
-    a valid frame or raises ValueError — never an index/buffer crash,
-    and never silently returns garbage for a bad magic."""
+    a valid frame (magic byte, full header, UTF-8 payload) or raises
+    ValueError — never an index/buffer crash, and never silently returns
+    garbage for a bad magic or a non-UTF-8 payload."""
     import numpy as np
     from hypothesis import given, settings, strategies as st
 
@@ -309,13 +314,21 @@ def test_wire_codec_adversarial_bytes():
     def prop(blobs):
         import pyarrow as pa
         arr = pa.array(blobs, pa.binary())
-        ok = all(len(b) >= 5 and b[0] == WIRE_MAGIC for b in blobs)
+
+        def utf8(b: bytes) -> bool:
+            try:
+                b.decode("utf-8")
+                return True
+            except UnicodeDecodeError:
+                return False
+        ok = all(len(b) >= 5 and b[0] == WIRE_MAGIC and utf8(b[5:])
+                 for b in blobs)
         if ok:
             payload, sids = unframe_column(arr)
+            payload.validate(full=True)
             for b, p, s in zip(blobs, payload.to_pylist(),
                                sids.to_pylist()):
-                assert p == b[5:].decode("utf-8", "surrogateescape") or \
-                    p.encode("utf-8", "surrogateescape") == b[5:]
+                assert p == b[5:].decode("utf-8")
                 assert (s & 0xFFFFFFFF) == int.from_bytes(b[1:5], "big")
         else:
             with pytest.raises(ValueError):
@@ -408,6 +421,9 @@ def test_connect_builtin_predicates():
         [True, True, False, True]
     assert topic_name_matches("t_orders")(t).to_pylist() == \
         [True, True, False, False]   # no substring match on t_cust etc.
+    # a pattern's own leading ^ does not turn off the whole-name match
+    foo = pa.table({"topic": ["foo", "foobar"]})
+    assert topic_name_matches("^foo")(foo).to_pylist() == [True, False]
     assert negate(record_is_tombstone())(t).to_pylist() == \
         [True, False, False, True]
 

@@ -289,22 +289,6 @@ def test_csv_binlog_replay(ray_session, grown, tmp_path):
     check(pipe, grown["expected"])
 
 
-def test_auto_shuffle_resolution(ray_session, grown, tmp_path):
-    """shuffle='auto' resolves by epoch size (spill for big epochs, sort
-    for micro-batches) and the auto run still matches the oracle."""
-    binlog_dir = str(tmp_path / "binlog")
-    grown["log"].write_segments(binlog_dir, n_segments=1)
-    micro = CdcConfig(lake_dir=str(tmp_path / "l1"), binlog_dir=binlog_dir,
-                      num_partitions=4, epoch_size=2_000, shuffle="auto")
-    assert micro.shuffle == "sort"
-    big = CdcConfig(lake_dir=str(tmp_path / "l2"), binlog_dir=binlog_dir,
-                    num_partitions=4, epoch_size=100_000, shuffle="auto")
-    assert big.shuffle == "spill"
-    pipe = CdcPipeline(micro)
-    pipe.run(base=grown["base_path"])
-    check(pipe, grown["expected"])
-
-
 def test_tolerant_jsonl_parse_dlq(ray_session, grown, tmp_path):
     """errors.tolerance analogue: a corrupt JSONL shard line (a) fails
     the strict run, (b) with text_errors='dlq' is skipped, recorded under

@@ -695,7 +695,7 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--base")
     r.add_argument("--partitions", type=int, default=64)
     r.add_argument("--epoch-size", type=int, default=250_000)
-    r.add_argument("--shuffle", choices=["spill", "sort", "hash"], default="spill")
+    r.add_argument("--shuffle", choices=["spill", "sort"], default="spill")
     r.add_argument("--write-mode", choices=["cow", "delta"], default="cow")
     r.add_argument("--max-epochs", type=int)
     r.add_argument("--retain-snapshots", type=int, default=0,
@@ -725,8 +725,7 @@ def main(argv: list[str] | None = None) -> int:
                          "presence)")
     sn.add_argument("--partitions", type=int, default=64)
     sn.add_argument("--epoch-size", type=int, default=250_000)
-    sn.add_argument("--shuffle", choices=["spill", "sort", "hash"],
-                    default="spill")
+    sn.add_argument("--shuffle", choices=["spill", "sort"], default="spill")
     sn.add_argument("--write-mode", choices=["cow", "delta"], default="cow")
     sn.add_argument("--max-epochs", type=int)
     sn.add_argument("--retain-snapshots", type=int, default=0)

@@ -5,9 +5,11 @@ Per epoch, expressed Ray-Data-first:
   TAIL    read_parquet(shards, filter=lsn∈(lo,hi] ∧ op≠DDL)      (pushdown)
   SMT     stateless map_batches chain: DLQ split, routing         (tasks)
   ROUTE   pid = stable_hash(repo,path) % P                        (map_batches)
-  SHUFFLE groupby(pid) — the single wide step per epoch
-  APPLY   per pid: watermark-drop → lsn-dedup → last-writer-wins
-          merge with partition state, DDL applied in lsn order    (map_groups)
+  SHUFFLE the single wide step per epoch: the spill exchange (shared
+          directory) or a sort on pid ranges (object store only)
+  APPLY   per pid: watermark-drop → lsn-dedup → last-writer-wins in
+          Arrow/numpy (_reduce_slot_events), then merge with partition
+          state, DDL applied in lsn order                        (_fold_pids)
   COMMIT  deterministic per-(pid,epoch) state file + atomic
           manifest swap — the only commit point (exactly-once)
   METRICS per-partition lineage + events/s JSON per epoch
@@ -33,6 +35,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -77,12 +80,32 @@ def _state_schema(evolved: list[str],
 _ROUTE_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _route_mask(t: pa.Table, rt: tuple, route_on: str) -> "np.ndarray":
-    """Demux keep-mask for one route. route_on='key' hashes the full
-    (repo, path) key; 'repo' hashes the repo alone (all paths of a repo
-    co-route — the Debezium table→topic shape)."""
-    cols = ["repo"] if route_on == "repo" else ["repo", "path"]
-    return route_of(stable_hash(t, cols), rt[1]) == rt[0]
+def _route(t: pa.Table, *, num_partitions: int, route: tuple | None,
+           route_on: str, stages: tuple = ()) -> pa.Table:
+    """The one router: demux filter (only this lake's route), then the
+    DLQ/CHECK `stages`, then append pid = stable_hash(repo, path) % P.
+    route_on='key' demuxes on the full (repo, path) key; 'repo' on the
+    repo alone (all paths of a repo co-route — the Debezium table→topic
+    shape)."""
+    h = None
+    if route is not None:
+        # demux filter FIRST, so a corrupt event lands in exactly one
+        # route's DLQ (null keys hash via fill_null → one route)
+        hr = stable_hash(t, ["repo"] if route_on == "repo"
+                         else ["repo", "path"])
+        keep = route_of(hr, route[1]) == route[0]
+        # key-routed fast path: reuse the full-key hash for pid. DLQ
+        # stages drop rows without exposing the mask, and repo-routing
+        # hashes a different column set — recompute.
+        if route_on == "key" and not stages:
+            h = hr[keep]
+        t = t.filter(pa.array(keep))
+    for s in stages:
+        t = s(t)
+    if h is None:
+        h = stable_hash(t, ["repo", "path"])
+    return t.append_column("pid", pa.array(h % num_partitions,
+                                           type=pa.int64()))
 
 
 def route_of(h: "np.ndarray", n_routes: int) -> "np.ndarray":
@@ -163,7 +186,6 @@ class CdcConfig:
     binlog_dir: str
     num_partitions: int = 64
     epoch_size: int = 250_000          # lsn per epoch (micro-batch width)
-    override_num_blocks: int | None = None
     compute_content_hash: bool = True  # manifest content_hash (incremental)
     dlq: bool = True
     # declarative CHECK constraints (data-quality gate, Connect
@@ -177,11 +199,7 @@ class CdcConfig:
     # (e.g. exempt op='D' tombstones whose payload is null by contract).
     constraints: "list | None" = None
     metrics: bool = True
-    apply_blocks: int | None = None    # hash-shuffle output blocks (default 2×CPU)
-    # "sort": groupby sort-shuffle (no actor pools — best when epochs are
-    # frequent; pool startup dominates hash shuffle at micro-batch cadence).
-    # "hash": key-based hash repartition (aggregator actor pool per epoch —
-    # wins only when epochs are large enough to amortize pool startup).
+    # the epoch exchange, one per deployment shape:
     # "spill": Spark-style two-stage exchange through the filesystem —
     # stage 1 tasks split each block by pid-slot and write Arrow IPC spill
     # files (lz4), stage 2 runs one task per slot over its files. Both
@@ -191,18 +209,15 @@ class CdcConfig:
     # leftovers. MULTI-NODE REQUIREMENT: exchange_dir (default
     # <lake>/_exchange) must live on storage every node can reach
     # (S3/NFS/shared mount) — stage-2 tasks read spill files written by
-    # stage-1 tasks on other nodes. On a cluster without shared fs, use
-    # shuffle="sort" — it shuffles through Ray's object store with NO
-    # shared directory and is the measured-best dir-free fallback
+    # stage-1 tasks on other nodes.
+    # "sort": a sort on pid over explicit pid ranges (_pid_sort) through
+    # Ray's object store with NO shared directory — the path for a
+    # cluster without shared storage
     # (`bench.py --exchange`, shm lakes, 32 CPUs, 1M events: sort =
     # 0.67–0.70× spill at both 1M-row and 250k-row epochs; on a slow
     # shared disk the gap closes to ~parity because the disk bounds
-    # both). "hash" is also shared-dir-free but measured 0.18–0.22×
-    # spill at every cadence here — its aggregator pool start-up never
-    # amortizes; kept because the pool route may win on real multi-node
-    # clusters where driver-coordinated sort range-sampling costs more.
-    # "auto": resolve by epoch_size at config time (spill for big epochs,
-    # sort for micro-batches — the measured crossover, see __post_init__).
+    # both). Both exchanges reduce winners with the same Arrow reducer
+    # (_fold_pids).
     shuffle: str = "spill"
     exchange_dir: str | None = None    # spill root (default <lake>/_exchange)
     # "cow": rewrite each partition's single state file per epoch (simple,
@@ -295,13 +310,9 @@ class CdcConfig:
         if self.compact_policy not in ("count", "size"):
             raise ValueError(f"compact_policy must be 'count' or 'size', "
                              f"got {self.compact_policy!r}")
-        if self.shuffle == "auto":
-            # measured guidance (BASELINE.md §3 + the shuffle= comment
-            # above): the two-stage spill exchange amortizes its per-epoch
-            # setup only when an epoch carries enough events; at
-            # micro-batch cadence the sort-based groupby wins. Resolved
-            # here so every downstream dispatch sees a concrete strategy.
-            self.shuffle = "spill" if self.epoch_size >= 50_000 else "sort"
+        if self.shuffle not in ("spill", "sort"):
+            raise ValueError(f"shuffle must be 'spill' or 'sort', "
+                             f"got {self.shuffle!r}")
         if self.route_on not in ("key", "repo"):
             raise ValueError(f"route_on must be 'key' or 'repo', "
                              f"got {self.route_on!r}")
@@ -315,18 +326,16 @@ class CdcConfig:
         return self.exchange_dir or os.path.join(self.lake_dir, "_exchange")
 
     def n_apply_blocks(self) -> int:
-        if self.apply_blocks:
-            return self.apply_blocks
+        """Apply task count: spill slots / sort pid ranges. At most one
+        per pid, so no apply task is left without a pid."""
         ncpu = int(ray.cluster_resources().get("CPU", 8))
-        return max(8, min(self.num_partitions, ncpu * 2))
+        return min(self.num_partitions, max(8, ncpu * 2))
 
     def n_read_blocks(self) -> int:
         """Explicit read block count: Ray's default splitting makes hundreds
         of ~1k-row blocks for a filtered epoch read, and the sort shuffle's
         per-block overhead then dominates (measured 6.5s → 1.4s at 32 CPUs
         by fixing the block count to 2×CPU)."""
-        if self.override_num_blocks:
-            return self.override_num_blocks
         return int(ray.cluster_resources().get("CPU", 8)) * 2
 
 
@@ -343,7 +352,7 @@ class EpochReport:
 
 
 # ----------------------------------------------------------------------------
-# per-partition apply (runs inside map_groups tasks)
+# per-partition apply (runs inside the exchange's apply tasks)
 # ----------------------------------------------------------------------------
 
 def _spill_stage1(t: pa.Table, *, ex_dir: str, n_slots: int) -> pa.Table:
@@ -393,6 +402,16 @@ def _spill_stage1(t: pa.Table, *, ex_dir: str, n_slots: int) -> pa.Table:
                                               ("rows", pa.int64())]))
 
 
+def dict_codes(col: "pa.ChunkedArray") -> tuple[np.ndarray, int]:
+    """(global dictionary codes, dictionary size) for a string column —
+    combined first so codes are table-global, not per-chunk."""
+    arr = col.combine_chunks()
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.chunk(0) if arr.num_chunks else pa.array([], type=pa.string())
+    d = pc.dictionary_encode(pc.fill_null(arr, ""))  # null key ≙ ""
+    return np.asarray(d.indices, dtype=np.int64), len(d.dictionary)
+
+
 def _reduce_slot_events(t: pa.Table, *, ctx: dict, num_partitions: int
                         ) -> dict[int, tuple[pd.DataFrame, dict]]:
     """Vectorized Arrow/numpy reduction of one slot's epoch events to
@@ -409,14 +428,6 @@ def _reduce_slot_events(t: pa.Table, *, ctx: dict, num_partitions: int
     if t.num_rows == 0:
         return {}
 
-    def dict_codes(col: "pa.ChunkedArray") -> tuple[np.ndarray, int]:
-        """(global dictionary codes, dictionary size) for a string column —
-        combined first so codes are table-global, not per-chunk."""
-        arr = col.combine_chunks()
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.chunk(0) if arr.num_chunks else pa.array([], type=pa.string())
-        d = pc.dictionary_encode(pc.fill_null(arr, ""))  # null key ≙ ""
-        return np.asarray(d.indices, dtype=np.int64), len(d.dictionary)
     # index-space reduction: the table itself is NEVER sorted or gathered
     # wholesale (a full-slot take copies the whole content payload — ~7 GB
     # per 8M-event epoch); only the key/lsn/op/shard columns become numpy,
@@ -514,6 +525,12 @@ def _reduce_slot_events(t: pa.Table, *, ctx: dict, num_partitions: int
 
 _EMPTY_STATS = {"n_I": 0, "n_U": 0, "n_D": 0, "n_dup": 0,
                 "n_wm_dropped": 0, "n_events": 0, "shards": []}
+# winners of a pid with no events this epoch (_fold_partition copies
+# before it mutates, so one shared frame is safe)
+_EMPTY_WINNERS = pd.DataFrame(
+    {c: pd.Series(dtype="object") for c in APPLY_COLS}
+    | {"lsn": pd.Series(dtype="int64"), "schema_ver": pd.Series(dtype="int64"),
+       "pid": pd.Series(dtype="int64")})
 
 
 _PATCH_COLS = ["lsn", "op", "repo", "path", "commit", "lang", "content",
@@ -556,13 +573,6 @@ def _patch_fold_table(t: pa.Table, all_entries: list) -> pd.DataFrame:
         if pa.types.is_null(t.schema.field(c).type):
             t = t.set_column(t.schema.get_field_index(c), c,
                              t[c].cast(pa.string()))
-
-    def dict_codes(col: "pa.ChunkedArray") -> tuple[np.ndarray, int]:
-        arr = col.combine_chunks()
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.chunk(0) if arr.num_chunks else pa.array([], type=pa.string())
-        d = pc.dictionary_encode(pc.fill_null(arr, ""))
-        return np.asarray(d.indices, dtype=np.int64), len(d.dictionary)
 
     pid0 = t["pid"].to_numpy()
     lsn0 = t["lsn"].to_numpy()
@@ -715,13 +725,7 @@ def _cleanup_exchange(ex_dir: str) -> None:
 def _apply_slot(batch: pd.DataFrame, *, ex_dir: str, ctx: dict,
                 n_slots: int, num_partitions: int) -> pd.DataFrame:
     """Stage 2 of the spill exchange: one slot's files → apply every owned
-    pid (slot s owns {p : p % n_slots == s}), INCLUDING pids with no events
-    this epoch (empty fold advances their watermark / applies DDL — the
-    role markers play in the shuffle paths)."""
-    empty_w = pd.DataFrame({c: pd.Series(dtype="object") for c in APPLY_COLS}
-                           | {"lsn": pd.Series(dtype="int64"),
-                              "schema_ver": pd.Series(dtype="int64"),
-                              "pid": pd.Series(dtype="int64")})
+    pid (slot s owns {p : p % n_slots == s})."""
     # scheme-routed exchange dirs (s3://, file://) list/read through the
     # storage layer — workers auto-resolve the scheme via pyarrow.fs;
     # plain paths keep the mmap-friendly OSFile fast path
@@ -739,60 +743,45 @@ def _apply_slot(batch: pd.DataFrame, *, ex_dir: str, ctx: dict,
                 continue
             with pa.OSFile(f, "rb") as fh:
                 tables.append(pa.ipc.open_stream(fh).read_all())
-        reduced: dict[int, tuple[pd.DataFrame, dict]] = {}
-        if tables:
-            reduced = _reduce_slot_events(pa.concat_tables(tables), ctx=ctx,
-                                          num_partitions=num_partitions)
-        for pid in range(slot, num_partitions, n_slots):
-            winners, stats = reduced.get(pid, (empty_w, _EMPTY_STATS))
-            outs.append(_fold_partition(winners, stats, ctx=ctx, pid=pid))
-    if not outs:
-        return pd.DataFrame()
+        outs += _fold_pids(pa.concat_tables(tables) if tables else None,
+                           range(slot, num_partitions, n_slots),
+                           ctx=ctx, num_partitions=num_partitions)
     return pd.concat(outs, ignore_index=True)
 
 
-def _apply_block(block: pd.DataFrame, *, ctx: dict) -> pd.DataFrame:
-    """Apply every whole partition present in one hash-repartitioned block.
-
-    The key-based repartition guarantees all rows of a pid land in exactly
-    one block, so a block is a bundle of complete partitions — iterating
-    them here costs one task per block instead of one per partition."""
-    out = [
-        _apply_partition_group(g, ctx=ctx)
-        for _, g in block.groupby("pid", sort=True)
-    ]
-    return pd.concat(out, ignore_index=True)
+def _pid_sort(ds: "ray.data.Dataset", num_partitions: int,
+              n_ranges: int) -> "ray.data.Dataset":
+    """The sort exchange: one output block per contiguous pid range, so
+    every block holds whole pids. The cut points are explicit — Ray's
+    sampled ones repeat when few distinct pids fall in a block, and each
+    repeat is an empty block that Ray Data logs as a schema change."""
+    k = min(num_partitions, n_ranges)
+    return ds.sort("pid", boundaries=[num_partitions * i // k
+                                      for i in range(1, k)])
 
 
-def _apply_partition_group(group: pd.DataFrame, *, ctx: dict,
-                           pid: int | None = None) -> pd.DataFrame:
-    """Fold one partition's epoch slice into its state; returns a one-row
-    manifest-candidate frame. Idempotent: deterministic output file name per
-    (pid, epoch); only the later manifest swap commits."""
-    pid = int(group["pid"].iloc[0]) if pid is None else pid
-    man = ctx["manifests"].get(pid)
-    watermark = man["upto_lsn"] if man else 0
+def _apply_range(t: pa.Table, *, ctx: dict,
+                 num_partitions: int) -> pd.DataFrame:
+    """Apply of the sort exchange: one _pid_sort block — the routed events
+    of a pid range plus one NOOP marker row per pid (the marker puts a pid
+    in its block in an epoch where it got no events)."""
+    pids = np.unique(t["pid"].to_numpy()).tolist()
+    events = t.filter(pc.fill_null(pc.not_equal(t["op"], "NOOP"), True))
+    return pd.concat(_fold_pids(events, pids, ctx=ctx,
+                                num_partitions=num_partitions),
+                     ignore_index=True)
 
-    ev = group[group["op"] != "NOOP"]
-    n_in = len(ev)
-    ev = ev[ev["lsn"] > watermark]
-    n_wm_dropped = n_in - len(ev)
-    ev = ev.sort_values("lsn", kind="stable").drop_duplicates("lsn", keep="first")
-    n_dup = n_in - n_wm_dropped - len(ev)
-    counts = ev["op"].value_counts().to_dict()
-    shards = sorted(int(s) for s in ev["shard"].dropna().unique()) if len(ev) else []
-    if ctx.get("update_mode") == "patch" and len(ev):
-        winners = _patch_fold_table(
-            pa.Table.from_pandas(ev[APPLY_COLS + ["pid"]],
-                                 preserve_index=False),
-            ctx["all_entries"])
-    else:
-        winners = ev.drop_duplicates(["repo", "path"], keep="last")
-    stats = {"n_I": int(counts.get("I", 0)), "n_U": int(counts.get("U", 0)),
-             "n_D": int(counts.get("D", 0)), "n_dup": int(n_dup),
-             "n_wm_dropped": int(n_wm_dropped), "n_events": int(n_in),
-             "shards": shards}
-    return _fold_partition(winners, stats, ctx=ctx, pid=pid)
+
+def _fold_pids(events: pa.Table | None, pids, *, ctx: dict,
+               num_partitions: int) -> list[pd.DataFrame]:
+    """Reduce routed epoch events (APPLY_COLS + pid) to per-pid winners
+    and fold every pid in `pids` into its state, one manifest-candidate
+    row each — INCLUDING pids with no events (an empty fold advances the
+    watermark and applies the epoch's DDL)."""
+    reduced = {} if events is None else _reduce_slot_events(
+        events, ctx=ctx, num_partitions=num_partitions)
+    return [_fold_partition(*reduced.get(p, (_EMPTY_WINNERS, _EMPTY_STATS)),
+                            ctx=ctx, pid=p) for p in pids]
 
 
 def _fold_partition(winners: pd.DataFrame, stats: dict, *, ctx: dict,
@@ -800,10 +789,8 @@ def _fold_partition(winners: pd.DataFrame, stats: dict, *, ctx: dict,
     """Merge pre-reduced last-writer-wins winners into the partition state.
 
     `winners` has one row per touched (repo, path) — the epoch's surviving
-    event per key, lsn-ascending — with the APPLY_COLS columns. The
-    reduction to winners happens either in pandas (_apply_partition_group,
-    sort/hash shuffles) or vectorized in Arrow/numpy (_reduce_slot_events,
-    spill path) — this fold is shared."""
+    event per key, lsn-ascending — with the APPLY_COLS columns, as
+    _reduce_slot_events produces them."""
     man = ctx["manifests"].get(pid)
     ver_start = man["schema_ver"] if man else 0
     if ctx.get("preserve_position"):   # standalone compaction: watermarks
@@ -1067,31 +1054,6 @@ def _materialize_evolved(winners: pd.DataFrame, registry: SchemaRegistry,
 # the pipeline driver object
 # ----------------------------------------------------------------------------
 
-from contextlib import contextmanager
-
-
-@contextmanager
-def _hash_shuffle_ctx():
-    """Key-based repartition needs ShuffleStrategy.HASH_SHUFFLE; aggregator
-    actors get fractional CPUs so the pool can't starve upstream reads on
-    small clusters (observed deadlock at 4 CPUs with 1-CPU aggregators)."""
-    from ray.data import DataContext
-    from ray.data.context import ShuffleStrategy
-
-    ctx = DataContext.get_current()
-    prev_strategy = ctx.shuffle_strategy
-    prev_cpus = ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override
-    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = min(
-        0.5, max(0.05, (ncpu / 2) / max(ncpu * 2, 8)))
-    try:
-        yield
-    finally:
-        ctx.shuffle_strategy = prev_strategy
-        ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = prev_cpus
-
-
 def _hash_impl() -> str:
     try:
         import polars  # noqa: F401
@@ -1155,40 +1117,33 @@ class CdcPipeline:
             return
         os.makedirs(cfg.lake_dir, exist_ok=True)
         self._fence()
-        P = cfg.num_partitions
-        if base is None:
-            for pid in range(P):
-                m = Manifest(pid, 0, 0, 0, [], 0, "", {})
-                write_manifest(cfg.lake_dir, m)
-                if cfg.retain_snapshots:
-                    archive_manifest(cfg.lake_dir, m)
-            SchemaRegistry().save(cfg.lake_dir)
-            return
+        # every pid starts empty; a base table fills the pids its rows
+        # route to (a pid no base row routes to has no group below)
+        mans = {pid: Manifest(pid, 0, 0, 0, [], 0, "", {})
+                for pid in range(cfg.num_partitions)}
+        if base is not None:
+            for r in self._bootstrap_base(base).itertuples(index=False):
+                mans[int(r.pid)] = Manifest(
+                    int(r.pid), 0, 0, 0, json.loads(r.files),
+                    int(r.row_count), r.content_hash,
+                    {"counts": {}, "input_shards": []})
+        for m in mans.values():
+            write_manifest(cfg.lake_dir, m)
+            if cfg.retain_snapshots:
+                archive_manifest(cfg.lake_dir, m)
+        SchemaRegistry().save(cfg.lake_dir)
 
+    def _bootstrap_base(self, base: "ray.data.Dataset | str") -> pd.DataFrame:
+        """Write each pid's epoch-0 state file from the base table; one
+        manifest-candidate row per pid that got base rows."""
+        cfg = self.cfg
         lake_dir, compute_hash = cfg.lake_dir, cfg.compute_content_hash
-
-        rt, r_on = cfg.route, cfg.route_on
-
-        def route(t: pa.Table) -> pa.Table:
-            h = None
-            if rt is not None:   # demux: bootstrap only this route's keys
-                hr = stable_hash(t, ["repo"] if r_on == "repo"
-                                 else ["repo", "path"])
-                keep = route_of(hr, rt[1]) == rt[0]
-                if r_on == "key":
-                    h = hr[keep]
-                t = t.filter(pa.array(keep))
-            if h is None:
-                h = stable_hash(t, ["repo", "path"])
-            pid = h % P
-            return t.append_column("pid", pa.array(pid, type=pa.int64()))
 
         def init_group(g: pd.DataFrame) -> pd.DataFrame:
             pid = int(g["pid"].iloc[0])
-            g = g[g["repo"] != ""]  # drop marker rows
             g = g[BASE_COLS].copy().sort_values(["repo", "path"], kind="stable")
             g["_lsn"] = 0
-            g["_sha"] = _sha256_series(g["content"]) if len(g) else pd.Series(dtype="object")
+            g["_sha"] = _sha256_series(g["content"])
             g["_op"] = "U"
             out_dir = os.path.join(lake_dir, f"part={pid:05d}")
             os.makedirs(out_dir, exist_ok=True)
@@ -1198,46 +1153,19 @@ class CdcPipeline:
                 path, lambda tmp: pq.write_table(tbl, tmp))
             return pd.DataFrame([{
                 "pid": pid, "files": json.dumps([path]), "row_count": len(g),
-                "content_hash": _content_hash(g["_sha"]) if compute_hash and len(g) else "",
+                "content_hash": _content_hash(g["_sha"]) if compute_hash else "",
             }])
 
         def init_block(block: pd.DataFrame) -> pd.DataFrame:
-            return pd.concat([init_group(g) for _, g in block.groupby("pid", sort=True)],
+            return pd.concat([init_group(g) for _, g in block.groupby("pid")],
                              ignore_index=True)
 
-        markers = pa.table({
-            **{c: pa.array([""] * P, type=pa.string()) for c in BASE_COLS},
-            "pid": pa.array(list(range(P)), type=pa.int64()),
-        })
-        if cfg.shuffle == "hash":
-            with _hash_shuffle_ctx():
-                if isinstance(base, str):
-                    base = ray.data.read_parquet(base)
-                cand = (
-                    base.map_batches(route, batch_format="pyarrow")
-                    .union(ray.data.from_arrow(markers))
-                    .repartition(num_blocks=cfg.n_apply_blocks(), keys=["pid"])
-                    .map_batches(init_block, batch_format="pandas", batch_size=None)
-                    .to_pandas()
-                )
-        else:
-            if isinstance(base, str):
-                base = ray.data.read_parquet(base)
-            cand = (
-                base.map_batches(route, batch_format="pyarrow")
-                .union(ray.data.from_arrow(markers))
-                .groupby("pid")
-                .map_groups(init_group, batch_format="pandas")
-                .to_pandas()
-            )
-        for r in cand.itertuples(index=False):
-            m = Manifest(
-                int(r.pid), 0, 0, 0, json.loads(r.files), int(r.row_count),
-                r.content_hash, {"counts": {}, "input_shards": []})
-            write_manifest(cfg.lake_dir, m)
-            if cfg.retain_snapshots:
-                archive_manifest(cfg.lake_dir, m)
-        SchemaRegistry().save(cfg.lake_dir)
+        if isinstance(base, str):
+            base = ray.data.read_parquet(base)
+        routed = base.map_batches(self._make_router(), batch_format="pyarrow")
+        return (_pid_sort(routed, cfg.num_partitions, cfg.n_apply_blocks())
+                .map_batches(init_block, batch_format="pandas", batch_size=None)
+                .to_pandas())
 
     # ---- epoch loop ------------------------------------------------------
     def run(self, base: "ray.data.Dataset | str | None" = None,
@@ -1527,8 +1455,6 @@ class CdcPipeline:
         _lsn=0 (loses every merge against real events), swap manifests.
         Idempotent: deterministic file names + append-if-absent."""
         cfg = self.cfg
-        P = cfg.num_partitions
-        rt = cfg.route
         lake_dir = cfg.lake_dir
         # evolved columns present in BOTH the source image and the current
         # registry ride along (an ad-hoc repair image read from a live,
@@ -1541,12 +1467,6 @@ class CdcPipeline:
         _reg = SchemaRegistry.load(cfg.lake_dir)
         evolved_now = _reg.columns_at(_reg.version)
         types_now = _reg.types_at(_reg.version)
-
-        def route(t: pa.Table) -> pa.Table:
-            if rt is not None:   # demux: this route's keys only
-                t = t.filter(pa.array(_route_mask(t, rt, cfg.route_on)))
-            h = stable_hash(t, ["repo", "path"])
-            return t.append_column("pid", pa.array(h % P, type=pa.int64()))
 
         def write_group(g: pd.DataFrame) -> pd.DataFrame:
             empty = pd.DataFrame({"pid": pd.Series(dtype="int64"),
@@ -1576,7 +1496,7 @@ class CdcPipeline:
                 path, lambda tmp: pq.write_table(tbl, tmp))
             return pd.DataFrame([{"pid": pid, "path": path, "rows": len(g)}])
 
-        cand = (ds.map_batches(route, batch_format="pyarrow")
+        cand = (ds.map_batches(self._make_router(), batch_format="pyarrow")
                 .groupby("pid")
                 .map_groups(write_group, batch_format="pandas")
                 .to_pandas())
@@ -1595,16 +1515,17 @@ class CdcPipeline:
                 # the snap file from gc via the history set
                 archive_manifest(cfg.lake_dir, m)
 
-    def _make_router(self, epoch: int):
-        """The stateless pre-apply chain: DLQ split + pid routing."""
+    def _make_router(self, epoch: int | None = None):
+        """The stateless pre-apply chain: DLQ split + pid routing. Without
+        an epoch, routing only — base images (bootstrap, snapshot chunks)
+        are rows, not events, and skip the event-validity DLQ."""
         cfg = self.cfg
-        P = cfg.num_partitions
         stages = []
         rules, names = [], []
-        if cfg.dlq:
+        if epoch is not None and cfg.dlq:
             rules += _dlq_rules(cfg.update_mode)
             names += ["op_verb", "key_present", "content_present"]
-        if cfg.constraints:
+        if epoch is not None and cfg.constraints:
             rules += [r for _, r in cfg.constraints]
             names += [f"check:{n}" for n, _ in cfg.constraints]
         if rules:
@@ -1617,37 +1538,14 @@ class CdcPipeline:
                 names=names if cfg.constraints else None,
             ))
 
-        rt, r_on = cfg.route, cfg.route_on
-
-        def route(t: pa.Table) -> pa.Table:
-            h = None
-            if rt is not None:
-                # demux filter FIRST, so a corrupt event lands in exactly
-                # one route's DLQ (null keys hash via fill_null → one route)
-                hr = stable_hash(t, ["repo"] if r_on == "repo"
-                                 else ["repo", "path"])
-                keep = route_of(hr, rt[1]) == rt[0]
-                # key-routed fast path: reuse the full-key hash for pid.
-                # DLQ stages drop rows without exposing the mask, and
-                # repo-routing hashes a different column set — recompute.
-                if r_on == "key" and not stages:
-                    h = hr[keep]
-                t = t.filter(pa.array(keep))
-            for s in stages:
-                t = s(t)
-            if h is None:
-                h = stable_hash(t, ["repo", "path"])
-            pid = h % P
-            return t.append_column("pid", pa.array(pid, type=pa.int64()))
-
-        return route
+        return partial(_route, num_partitions=cfg.num_partitions,
+                       route=cfg.route, route_on=cfg.route_on,
+                       stages=tuple(stages))
 
     def _run_spill(self, epoch: int, lo: int, hi: int) -> tuple[str, int]:
         """Stage 1 of the spill exchange for one epoch: read + route +
         per-slot spill. Independent of manifests/registry state, so it can
         run concurrently with the PREVIOUS epoch's apply (pipeline_epochs)."""
-        from functools import partial
-
         cfg = self.cfg
         ex_dir = os.path.join(cfg.exchange_root(), f"e{epoch:06d}")
         n_slots = cfg.n_apply_blocks()
@@ -1723,27 +1621,6 @@ class CdcPipeline:
             "retain_tombstones": snapshot_active(cfg.lake_dir),
         }
 
-        route = self._make_router(epoch)
-
-        # marker rows guarantee every partition emits a manifest candidate
-        # (and applies DDL) even with zero data events this epoch
-        from thor_ray.gen import EVENT_SCHEMA
-
-        marker = pa.table({
-            "lsn": pa.array([-1] * P, type=pa.int64()),
-            "op": pa.array(["NOOP"] * P),
-            **{c: pa.array([None] * P, type=EVENT_SCHEMA.field(c).type)
-               for c in ["repo", "path", "commit", "lang", "content", "extra"]},
-            "schema_ver": pa.array([0] * P, type=pa.int32()),
-            "shard": pa.array([-1] * P, type=pa.int32()),
-            "pid": pa.array(list(range(P)), type=pa.int64()),
-        }).select(APPLY_COLS + ["pid"])
-
-        from functools import partial
-
-        # ONE wide step: hash repartition on pid (cheaper than a sort-based
-        # groupby); every pid's rows land whole in exactly one block, so the
-        # apply fn handles a bundle of complete partitions per task.
         t_apply = time.perf_counter()
         if cfg.shuffle == "spill":
             # stage 1 (skipped when run() prespilled it concurrently with
@@ -1760,34 +1637,32 @@ class CdcPipeline:
                 .to_pandas()
             )
             _cleanup_exchange(ex_dir)
-        elif cfg.shuffle == "hash":
-            with _hash_shuffle_ctx():
-                # context is captured at dataset creation — the read must
-                # happen inside this block for the repartition to plan
-                ds = binlog_src.read_epoch(
-                    cfg.binlog_dir, lo, hi,
-                    override_num_blocks=cfg.n_read_blocks(),
-                    columns=APPLY_COLS,
-                    tolerant=cfg.text_errors == "dlq")
-                cand = (
-                    ds.map_batches(route, batch_format="pyarrow")
-                    .union(ray.data.from_arrow(marker))
-                    .repartition(num_blocks=cfg.n_apply_blocks(), keys=["pid"])
-                    .map_batches(partial(_apply_block, ctx=ctx),
-                                 batch_format="pandas", batch_size=None)
-                    .to_pandas()
-                )
         else:
+            # one NOOP marker row per pid puts every partition in a block —
+            # so it emits a manifest candidate and applies the epoch's
+            # DDL — even with zero data events this epoch
+            from thor_ray.gen import EVENT_SCHEMA
+
+            marker = pa.table({
+                "lsn": pa.array([-1] * P, type=pa.int64()),
+                "op": pa.array(["NOOP"] * P),
+                **{c: pa.array([None] * P, type=EVENT_SCHEMA.field(c).type)
+                   for c in ["repo", "path", "commit", "lang", "content", "extra"]},
+                "schema_ver": pa.array([0] * P, type=pa.int32()),
+                "shard": pa.array([-1] * P, type=pa.int32()),
+                "pid": pa.array(list(range(P)), type=pa.int64()),
+            }).select(APPLY_COLS + ["pid"])
             ds = binlog_src.read_epoch(cfg.binlog_dir, lo, hi,
                                        override_num_blocks=cfg.n_read_blocks(),
                                        columns=APPLY_COLS,
                                        tolerant=cfg.text_errors == "dlq")
+            routed = (ds.map_batches(self._make_router(epoch),
+                                     batch_format="pyarrow")
+                      .union(ray.data.from_arrow(marker)))
             cand = (
-                ds.map_batches(route, batch_format="pyarrow")
-                .union(ray.data.from_arrow(marker))
-                .groupby("pid")
-                .map_groups(partial(_apply_partition_group, ctx=ctx),
-                            batch_format="pandas")
+                _pid_sort(routed, P, cfg.n_apply_blocks())
+                .map_batches(partial(_apply_range, ctx=ctx, num_partitions=P),
+                             batch_format="pyarrow", batch_size=None)
                 .to_pandas()
             )
         t_apply = time.perf_counter() - t_apply
@@ -2011,15 +1886,11 @@ class CdcPipeline:
             "retain_tombstones": snapshot_active(cfg.lake_dir)
             if _retain_tombstones is None else _retain_tombstones,
         }
-        empty_w = pd.DataFrame(
-            {c: pd.Series(dtype="object") for c in APPLY_COLS}
-            | {"lsn": pd.Series(dtype="int64"),
-               "schema_ver": pd.Series(dtype="int64")})
 
         def fold_block(block: pd.DataFrame) -> pd.DataFrame:
             return pd.concat(
-                [_fold_partition(empty_w, dict(_EMPTY_STATS), ctx=ctx,
-                                 pid=int(p)) for p in block["pid"]],
+                _fold_pids(None, [int(p) for p in block["pid"]], ctx=ctx,
+                           num_partitions=cfg.num_partitions),
                 ignore_index=True)
 
         pids = pa.table({"pid": pa.array(sorted(todo), type=pa.int64())})
@@ -2105,10 +1976,8 @@ class CdcPipeline:
         from thor_ray.sources.lake import read_lake
         ds = read_lake(cfg.lake_dir, manifests=manifests, keep_internal=True)
 
-        def route(t: pa.Table) -> pa.Table:
-            pid = stable_hash(t, ["repo", "path"]) % P
-            return t.append_column("pid", pa.array(pid, type=pa.int64()))
-
+        # the lake already holds only its route's keys: re-pid, no demux
+        route = partial(_route, num_partitions=P, route=None, route_on="key")
         cols = BASE_COLS + evolved + ["_lsn", "_sha", "_op"]
 
         def write_group(g: pd.DataFrame) -> pd.DataFrame:

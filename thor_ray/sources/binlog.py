@@ -394,7 +394,7 @@ def read_epoch(binlog_dir: str, lo: int, hi: int,
             t = t.filter(m)
             # align to EVENT_SCHEMA types (content/extra are large_string
             # there; a later union with schema-typed blocks — the marker
-            # table in sort/hash shuffles — fails on the mismatch)
+            # table in the sort exchange — fails on the mismatch)
             for c in t.column_names:
                 want = EVENT_SCHEMA.field(c).type if c in EVENT_SCHEMA.names else None
                 if want is not None and c != "ts" and t.schema.field(c).type != want:

@@ -362,8 +362,9 @@ def topic_name_matches(pattern: str,
                        topic_col: str = "topic") -> Callable[[Batch], pa.Array]:
     """True where the record's topic/route column matches the anchored
     regex (Connect matches the ENTIRE topic name — the pattern is
-    wrapped in ^...$ like Java's Pattern.matches)."""
-    anchored = pattern if pattern.startswith("^") else f"^(?:{pattern})$"
+    wrapped in ^...$ like Java's Pattern.matches, whatever anchors the
+    pattern already carries)."""
+    anchored = f"^(?:{pattern})$"
 
     def pred(t: Batch) -> pa.Array:
         if topic_col not in t.column_names:

@@ -96,7 +96,8 @@ def frame_column(payload: "pa.Array | pa.ChunkedArray",
 def unframe_column(framed: "pa.Array | pa.ChunkedArray"
                    ) -> tuple[pa.Array, pa.Array]:
     """(payload string, schema_id int32) from framed binary; raises on a
-    bad magic byte or a record shorter than the header."""
+    bad magic byte, a record shorter than the header, or a payload that
+    is not valid UTF-8."""
     arr = framed.combine_chunks() if isinstance(framed, pa.ChunkedArray) \
         else framed
     n = len(arr)
@@ -123,9 +124,14 @@ def unframe_column(framed: "pa.Array | pa.ChunkedArray"
         src = np.repeat(heads + _HDR, plens) + _concat_ranges(plens)
         out[tgt] = data[src]
     payload = pa.Array.from_buffers(
-        pa.string(), n,
+        pa.binary(), n,
         [None, pa.py_buffer(new_offs.astype(np.int32).tobytes()),
          pa.py_buffer(out.tobytes())])
+    try:   # the binary→string cast validates UTF-8
+        payload = pc.cast(payload, pa.string())
+    except pa.ArrowInvalid as e:
+        raise ValueError(f"unframe_column: payload is not valid UTF-8 "
+                         f"({e})") from e
     return payload, pa.array(sid.astype(np.int32), type=pa.int32())
 
 
