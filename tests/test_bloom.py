@@ -4,6 +4,7 @@ on an LSM run, lookups identical with and without the filter."""
 
 from __future__ import annotations
 
+import glob
 import os
 
 import numpy as np
@@ -103,3 +104,39 @@ def test_lookup_sweep_matches_oracle(lsm_lake):
     g = got.sort_values(["repo", "path"]).reset_index(drop=True)
     e = exp.sort_values(["repo", "path"]).reset_index(drop=True)
     pd.testing.assert_series_equal(g["content"], e["content"])
+
+
+def test_base_and_snapshot_files_carry_footers(ray_session, tmp_path):
+    """Bootstrap base files and snapshot-chunk files are written by the
+    one state-file writer: both carry the thor_kind and thor_bloom footer
+    keys, so a lookup of a key a file lacks skips that file."""
+    import ray
+
+    info = gen.write_fixture(
+        str(tmp_path / "fixture"), n_keys=400,
+        cfg=gen.BinlogConfig(n_events=500, n_shards=2, ddl_every=0, seed=3))
+
+    def pipe_on(lake: str) -> CdcPipeline:
+        return CdcPipeline(CdcConfig(lake_dir=lake,
+                                     binlog_dir=info["binlog_dir"],
+                                     num_partitions=4, epoch_size=1_000))
+
+    base_lake = str(tmp_path / "base_lake")
+    pipe_on(base_lake).run(base=info["base"], max_epochs=0)  # bootstrap
+    snap_lake = str(tmp_path / "snap_lake")
+    snap = pipe_on(snap_lake)
+    snap.bootstrap(None)
+    snap._inject_chunk(0, ray.data.read_parquet(info["base"]))
+    base_files = glob.glob(os.path.join(base_lake, "part=*",
+                                        "state-e000000.parquet"))
+    snap_files = glob.glob(os.path.join(snap_lake, "part=*", "snap-*.parquet"))
+    assert len(base_files) == 4 and len(snap_files) == 4
+    for f in base_files + snap_files:
+        md = pq.read_schema(f).metadata
+        assert md[b"thor_kind"] == b"full", f
+        assert b"thor_bloom" in md, f
+    for lake in (base_lake, snap_lake):
+        stats: dict = {}
+        assert len(lake_lookup(lake, [("repo-zz", "nowhere.py")],
+                               stats=stats)) == 0
+        assert stats == {"files_total": 1, "files_read": 0}, (lake, stats)

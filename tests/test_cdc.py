@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import json
 import os
@@ -70,10 +71,12 @@ def test_replay_matches_oracle_all_shuffles(ray_session, fixture, tmp_path, shuf
     assert_matches_oracle(pipe, fixture)
 
 
-def test_spill_replay_no_schema_drift(ray_session, fixture, tmp_path):
-    """Bootstrap + 2 spill epochs keep one schema per Ray Data operator:
-    Ray Data logs "Operator produced a RefBundle with a different schema"
-    when an operator's blocks disagree (e.g. string vs large_string)."""
+@contextlib.contextmanager
+def drift_records():
+    """Collect the "Operator produced a RefBundle with a different schema"
+    records Ray Data logs while the block runs: it logs one whenever an
+    operator's blocks disagree (e.g. string vs large_string, or an empty
+    block after a non-empty one)."""
     import logging
 
     class Drift(logging.Handler):
@@ -94,13 +97,35 @@ def test_spill_replay_no_schema_drift(ray_session, fixture, tmp_path):
     h = Drift()
     log.addHandler(h)
     try:
-        pipe = run_pipeline(fixture, str(tmp_path / "lake"),
-                            epoch_size=5_000, max_epochs=2)
+        yield h.records
     finally:
         log.removeHandler(h)
         child.setLevel(old_level)
+
+
+def test_spill_replay_no_schema_drift(ray_session, fixture, tmp_path):
+    """Bootstrap + 2 spill epochs keep one schema per Ray Data operator."""
+    with drift_records() as records:
+        pipe = run_pipeline(fixture, str(tmp_path / "lake"),
+                            epoch_size=5_000, max_epochs=2)
     assert len(pipe.reports) == 2
-    assert h.records == []
+    assert records == []
+
+
+def test_snapshot_and_repartition_no_schema_drift(ray_session, fixture,
+                                                  tmp_path):
+    """Snapshot chunks and repartition_lake write state through explicit
+    pid ranges (_pid_sort), as bootstrap does: no operator logs a schema
+    change."""
+    with drift_records() as records:
+        pipe = CdcPipeline(CdcConfig(
+            lake_dir=str(tmp_path / "lake"),
+            binlog_dir=fixture["binlog_dir"], num_partitions=8,
+            epoch_size=5_000))
+        pipe.run_incremental(fixture["base_path"], n_chunks=5)
+        moved = pipe.repartition_lake(str(tmp_path / "lake8"), 8)
+    assert moved > 0
+    assert records == []
 
 
 def test_replay_matches_oracle(ray_session, fixture, tmp_path):
@@ -770,6 +795,38 @@ def test_repartition_lake_resume(ray_session, fresh_fixture, tmp_path):
                      num_partitions=8, epoch_size=2_500)
     with pytest.raises(RuntimeError, match="quiesced"):
         CdcPipeline(cfg3).repartition_lake(str(tmp_path / "nope"), 4)
+
+
+def test_repartition_repo_routed_lake(ray_session, fresh_fixture,
+                                      tmp_path):
+    """repartition_lake keeps the demux route (route and route_on) in the
+    new lake's engine meta: a repo-routed lake migrated to a new
+    partition count resumes at that count and replays to the oracle
+    filtered by its route."""
+    from thor_ray.pipelines.cdc import route_of
+    from thor_ray.stages.smt import stable_hash
+
+    fixture = fresh_fixture
+
+    def cfg(lake: str, P: int) -> CdcConfig:
+        return CdcConfig(lake_dir=lake, binlog_dir=fixture["binlog_dir"],
+                         num_partitions=P, epoch_size=2_500, route=(0, 2),
+                         route_on="repo")
+
+    src = CdcPipeline(cfg(str(tmp_path / "lake8"), 8))
+    src.run(base=fixture["base_path"], max_epochs=2)
+    dst = str(tmp_path / "lake5")
+    assert src.repartition_lake(dst, 5) > 0
+    pipe = CdcPipeline(cfg(dst, 5))
+    pipe.run()
+    exp = fixture["expected"]
+    repos = pa.table({"repo": pa.array(exp["repo"], type=pa.string())})
+    want = normalize(exp[route_of(stable_hash(repos, ["repo"]), 2) == 0])
+    got = normalize(pipe.final_table().to_pandas())
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                  want.reset_index(drop=True),
+                                  check_dtype=False)
 
 
 def test_lag_report(ray_session, fresh_fixture, tmp_path):

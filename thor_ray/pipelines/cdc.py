@@ -133,26 +133,6 @@ def _dlq_rules(update_mode: str = "full") -> list:
     ]
 
 
-def _write_binlog_segment(t: pa.Table, path: str, fmt: str) -> None:
-    """Atomically write one binlog segment in the log's wire format
-    (shared by delete_where tombstones and replay_dlq re-injection)."""
-    def stage(tmp: str) -> None:
-        if fmt == "parquet":
-            pq.write_table(t, tmp, row_group_size=16 * 1024)
-        elif fmt in ("jsonl", "jsonl.gz"):
-            df = t.to_pandas()
-            df["ts"] = df["ts"].astype("int64")
-            df.to_json(tmp, orient="records", lines=True,
-                       compression="gzip" if fmt == "jsonl.gz" else None)
-        else:  # csv
-            import pyarrow.csv as pacsv
-            t2 = t.set_column(t.schema.get_field_index("ts"), "ts",
-                              t["ts"].cast(pa.int64()))
-            pacsv.write_csv(t2, tmp)
-
-    storage_for(path).put_atomic(path, stage)
-
-
 def _sha256_series(s: pd.Series) -> pd.Series:
     """Per-row sha256 hex of string content. hashlib is the floor (there is
     no batch sha256 kernel); the wins over the old ``.map(lambda ...)`` are
@@ -760,6 +740,28 @@ def _pid_sort(ds: "ray.data.Dataset", num_partitions: int,
                                       for i in range(1, k)])
 
 
+def _write_pid_groups(ds: "ray.data.Dataset", router, num_partitions: int,
+                      n_ranges: int, write) -> pd.DataFrame:
+    """The state-writing exchange of bootstrap, snapshot chunks and
+    repartition_lake: rows routed by `router`, with their key hash as
+    `_kh` (the footer bloom's input, hashed next to the router so the
+    write tasks never load the hash library), sorted into _pid_sort
+    ranges, then `write(pid, rows)` per pid that has rows, each
+    returning one result row (a dict)."""
+    def route(t: pa.Table) -> pa.Table:
+        t = router(t)
+        return t.append_column(
+            "_kh", pa.array(stable_hash(t, ["repo", "path"])))
+
+    def block(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame([write(int(p), g) for p, g in b.groupby("pid")])
+
+    return (_pid_sort(ds.map_batches(route, batch_format="pyarrow"),
+                      num_partitions, n_ranges)
+            .map_batches(block, batch_format="pandas", batch_size=None)
+            .to_pandas())
+
+
 def _apply_range(t: pa.Table, *, ctx: dict,
                  num_partitions: int) -> pd.DataFrame:
     """Apply of the sort exchange: one _pid_sort block — the routed events
@@ -928,9 +930,13 @@ def _fold_partition(winners: pd.DataFrame, stats: dict, *, ctx: dict,
 
 def _write_state_file(df: pd.DataFrame, final_path: str, evolved: list[str],
                       types: dict[str, str] | None = None,
-                      kind: str = "full") -> None:
+                      kind: str = "full",
+                      key_hash: "np.ndarray | None" = None) -> None:
+    # cast only the non-object columns: astype costs ~0.5 ms a column
+    # even when it changes nothing (bootstrap writes one file per pid)
+    cast = {c: "object" for c in BASE_COLS + evolved if df[c].dtype != object}
     tbl = pa.Table.from_pandas(
-        df.astype({c: "object" for c in BASE_COLS + evolved}),
+        df.astype(cast) if cast else df,
         schema=_state_schema(evolved, types), preserve_index=False)
     # footer markers: thor_kind "delta" = one epoch's change rows (a
     # changefeed segment, read by sources.lake.read_changefeed); "full" =
@@ -940,7 +946,7 @@ def _write_state_file(df: pd.DataFrame, final_path: str, evolved: list[str],
     # routing hash (one vectorized pass; negligible vs the parquet write).
     from thor_ray.state import bloom as _bloom
     from thor_ray.stages.smt import stable_hash
-    kh = stable_hash(pa.table({
+    kh = key_hash if key_hash is not None else stable_hash(pa.table({
         "repo": pa.array(df["repo"], pa.string()),
         "path": pa.array(df["path"], pa.string())}), ["repo", "path"])
     blob = _bloom.build(kh, impl=_hash_impl())
@@ -1055,11 +1061,12 @@ def _materialize_evolved(winners: pd.DataFrame, registry: SchemaRegistry,
 # ----------------------------------------------------------------------------
 
 def _hash_impl() -> str:
-    try:
-        import polars  # noqa: F401
-        return "polars-xxh"
-    except ImportError:
-        return "fnv1a"
+    # find_spec, not import: a state-file write handed its key hashes
+    # (_write_pid_groups) must not pay the polars import (~0.16 s in a
+    # fresh Ray worker)
+    import importlib.util
+
+    return "polars-xxh" if importlib.util.find_spec("polars") else "fnv1a"
 
 
 class CdcPipeline:
@@ -1086,13 +1093,19 @@ class CdcPipeline:
                 f"writer gen {self._writer_gen} superseded by {cur} on "
                 f"{self.cfg.lake_dir}; this pipeline must stop")
 
+    def _engine_meta(self, num_partitions: int) -> dict:
+        """engine.json of a lake with `num_partitions` written under this
+        config: what routes a key to its partition and its lake."""
+        cfg = self.cfg
+        return {"hash_impl": _hash_impl(), "num_partitions": num_partitions,
+                "route": list(cfg.route) if cfg.route else None,
+                "route_on": cfg.route_on}
+
     def _check_engine_meta(self) -> None:
         """Routing is hash-based; a lake written under one hash impl must
         not be resumed under another (keys would re-route and duplicate)."""
         p = os.path.join(self.cfg.lake_dir, "_schema", "engine.json")
-        meta = {"hash_impl": _hash_impl(), "num_partitions": self.cfg.num_partitions,
-                "route": list(self.cfg.route) if self.cfg.route else None,
-                "route_on": self.cfg.route_on}
+        meta = self._engine_meta(self.cfg.num_partitions)
         if os.path.exists(p):
             with open(p) as f:
                 prev = json.load(f)
@@ -1139,8 +1152,8 @@ class CdcPipeline:
         cfg = self.cfg
         lake_dir, compute_hash = cfg.lake_dir, cfg.compute_content_hash
 
-        def init_group(g: pd.DataFrame) -> pd.DataFrame:
-            pid = int(g["pid"].iloc[0])
+        def init_group(pid: int, g: pd.DataFrame) -> dict:
+            kh = g["_kh"].to_numpy()
             g = g[BASE_COLS].copy().sort_values(["repo", "path"], kind="stable")
             g["_lsn"] = 0
             g["_sha"] = _sha256_series(g["content"])
@@ -1148,24 +1161,17 @@ class CdcPipeline:
             out_dir = os.path.join(lake_dir, f"part={pid:05d}")
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "state-e000000.parquet")
-            tbl = pa.Table.from_pandas(g, schema=_state_schema([]), preserve_index=False)
-            storage_for(path).put_atomic(
-                path, lambda tmp: pq.write_table(tbl, tmp))
-            return pd.DataFrame([{
-                "pid": pid, "files": json.dumps([path]), "row_count": len(g),
-                "content_hash": _content_hash(g["_sha"]) if compute_hash else "",
-            }])
-
-        def init_block(block: pd.DataFrame) -> pd.DataFrame:
-            return pd.concat([init_group(g) for _, g in block.groupby("pid")],
-                             ignore_index=True)
+            _write_state_file(g, path, [], key_hash=kh)
+            return {"pid": pid, "files": json.dumps([path]),
+                    "row_count": len(g),
+                    "content_hash": _content_hash(g["_sha"]) if compute_hash
+                    else ""}
 
         if isinstance(base, str):
             base = ray.data.read_parquet(base)
-        routed = base.map_batches(self._make_router(), batch_format="pyarrow")
-        return (_pid_sort(routed, cfg.num_partitions, cfg.n_apply_blocks())
-                .map_batches(init_block, batch_format="pandas", batch_size=None)
-                .to_pandas())
+        return _write_pid_groups(base, self._make_router(),
+                                 cfg.num_partitions, cfg.n_apply_blocks(),
+                                 init_group)
 
     # ---- epoch loop ------------------------------------------------------
     def run(self, base: "ray.data.Dataset | str | None" = None,
@@ -1183,26 +1189,8 @@ class CdcPipeline:
         self._check_engine_meta()
         self.bootstrap(base)
         manifests = load_manifests(cfg.lake_dir)
-        if until_lsn is not None:
-            max_l = until_lsn
-        elif complete:
-            max_l = binlog_src.max_lsn(cfg.binlog_dir)
-        else:
-            max_l = binlog_src.safe_frontier(
-                cfg.binlog_dir, slack=cfg.epoch_size // 4)
-        # resume from the WATERMARK grid position: a previous run may have
-        # committed a partial tail epoch (upto_lsn < epoch*E); re-entering
-        # that epoch re-reads its range and the per-partition watermark
-        # drops what was already applied
-        min_upto = min(m.upto_lsn for m in manifests.values())
-        first = min_upto // cfg.epoch_size + 1
-        epochs = []
-        e = first
-        while (e - 1) * cfg.epoch_size < max_l:
-            if max_epochs is not None and len(epochs) >= max_epochs:
-                break
-            epochs.append(e)
-            e += 1
+        max_l, epochs = self._plan_epochs(manifests, max_epochs, until_lsn,
+                                          complete)
 
         t_replay = time.perf_counter()
         if cfg.shuffle == "spill" and cfg.pipeline_epochs \
@@ -1236,6 +1224,30 @@ class CdcPipeline:
         # walls double-count, so bench uses this end-to-end replay wall
         self.replay_wall_sec = round(time.perf_counter() - t_replay, 4)
         return self.reports
+
+    def _plan_epochs(self, manifests: dict[int, Manifest],
+                     max_epochs: int | None, until_lsn: int | None,
+                     complete: bool) -> tuple[int, list[int]]:
+        """(drain ceiling, epochs to run). The ceiling is `until_lsn`, the
+        log's max lsn (complete) or its safe frontier (still growing)."""
+        cfg = self.cfg
+        if until_lsn is not None:
+            max_l = until_lsn
+        elif complete:
+            max_l = binlog_src.max_lsn(cfg.binlog_dir)
+        else:
+            max_l = binlog_src.safe_frontier(
+                cfg.binlog_dir, slack=cfg.epoch_size // 4)
+        # resume from the WATERMARK grid position: a previous run may have
+        # committed a partial tail epoch (upto_lsn < epoch*E); re-entering
+        # that epoch re-reads its range and the per-partition watermark
+        # drops what was already applied
+        first = min(m.upto_lsn for m in manifests.values()) \
+            // cfg.epoch_size + 1
+        last = -(-max_l // cfg.epoch_size)     # ceil: covers max_l
+        if max_epochs is not None:
+            last = min(last, first + max_epochs - 1)
+        return max_l, list(range(first, last + 1))
 
     # ---- incremental snapshot (DBLog-style snapshot-while-tailing) --------
     def run_incremental(self, base: "ray.data.Dataset | str",
@@ -1355,22 +1367,8 @@ class CdcPipeline:
                 f"requested) would skip or repeat key ranges")
 
         manifests = load_manifests(cfg.lake_dir)
-        if until_lsn is not None:
-            max_l = until_lsn
-        elif complete:
-            max_l = binlog_src.max_lsn(cfg.binlog_dir)
-        else:
-            max_l = binlog_src.safe_frontier(
-                cfg.binlog_dir, slack=cfg.epoch_size // 4)
-        min_upto = min(m.upto_lsn for m in manifests.values())
-        first = min_upto // cfg.epoch_size + 1
-        epochs = []
-        e = first
-        while (e - 1) * cfg.epoch_size < max_l:
-            if max_epochs is not None and len(epochs) >= max_epochs:
-                break
-            epochs.append(e)
-            e += 1
+        max_l, epochs = self._plan_epochs(manifests, max_epochs, until_lsn,
+                                          complete)
 
         def inject_next() -> None:
             nonlocal manifests
@@ -1468,13 +1466,8 @@ class CdcPipeline:
         evolved_now = _reg.columns_at(_reg.version)
         types_now = _reg.types_at(_reg.version)
 
-        def write_group(g: pd.DataFrame) -> pd.DataFrame:
-            empty = pd.DataFrame({"pid": pd.Series(dtype="int64"),
-                                  "path": pd.Series(dtype="object"),
-                                  "rows": pd.Series(dtype="int64")})
-            if not len(g):
-                return empty
-            pid = int(g["pid"].iloc[0])
+        def write_group(pid: int, g: pd.DataFrame) -> dict:
+            kh = g["_kh"].to_numpy()
             carry = [c for c in evolved_now if c in g.columns]
             g = g[BASE_COLS + carry].copy().sort_values(
                 ["repo", "path"], kind="stable")
@@ -1489,17 +1482,11 @@ class CdcPipeline:
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(
                 out_dir, f"snap-g{generation:03d}-c{chunk_id:04d}.parquet")
-            tbl = pa.Table.from_pandas(
-                g, schema=_state_schema(evolved_now, types_now),
-                preserve_index=False)
-            storage_for(path).put_atomic(
-                path, lambda tmp: pq.write_table(tbl, tmp))
-            return pd.DataFrame([{"pid": pid, "path": path, "rows": len(g)}])
+            _write_state_file(g, path, evolved_now, types_now, key_hash=kh)
+            return {"pid": pid, "path": path, "rows": len(g)}
 
-        cand = (ds.map_batches(self._make_router(), batch_format="pyarrow")
-                .groupby("pid")
-                .map_groups(write_group, batch_format="pandas")
-                .to_pandas())
+        cand = _write_pid_groups(ds, self._make_router(), cfg.num_partitions,
+                                 cfg.n_apply_blocks(), write_group)
         manifests = load_manifests(cfg.lake_dir)
         for r in cand.itertuples(index=False):
             m = manifests[int(r.pid)]
@@ -1980,26 +1967,23 @@ class CdcPipeline:
         route = partial(_route, num_partitions=P, route=None, route_on="key")
         cols = BASE_COLS + evolved + ["_lsn", "_sha", "_op"]
 
-        def write_group(g: pd.DataFrame) -> pd.DataFrame:
-            pid = int(g["pid"].iloc[0])
+        def write_group(pid: int, g: pd.DataFrame) -> dict:
+            kh = g["_kh"].to_numpy()
             g = g[cols].sort_values(["repo", "path"], kind="stable")
             out_dir = os.path.join(dst_dir, f"part={pid:05d}")
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, f"state-e{epoch:06d}.parquet")
-            _write_state_file(g, path, evolved, types)
-            return pd.DataFrame([{
-                "pid": pid, "files": json.dumps([path]), "row_count": len(g),
-                "content_hash": _content_hash(g["_sha"])
-                if compute_hash and len(g) else "",
-            }])
+            _write_state_file(g, path, evolved, types, key_hash=kh)
+            return {"pid": pid, "files": json.dumps([path]),
+                    "row_count": len(g),
+                    "content_hash": _content_hash(g["_sha"])
+                    if compute_hash else ""}
 
         total = 0
         seen: dict[int, "pd.Series"] = {}
         if ds.count():
-            cand = (ds.map_batches(route, batch_format="pyarrow")
-                    .groupby("pid")
-                    .map_groups(write_group, batch_format="pandas")
-                    .to_pandas())
+            cand = _write_pid_groups(ds, route, P, cfg.n_apply_blocks(),
+                                     write_group)
             seen = {int(r.pid): r for r in cand.itertuples(index=False)}
         os.makedirs(dst_dir, exist_ok=True)
         for pid in range(P):
@@ -2017,12 +2001,9 @@ class CdcPipeline:
                 archive_manifest(dst_dir, m)
             total += m.row_count
         registry.save(dst_dir)
-        meta_dir = os.path.join(dst_dir, "_schema")
-        os.makedirs(meta_dir, exist_ok=True)
-        meta = {"hash_impl": _hash_impl(), "num_partitions": P,
-                "route": list(cfg.route) if cfg.route else None}
-        p = os.path.join(meta_dir, "engine.json")
-        storage_for(p).put_bytes(p, json.dumps(meta).encode())
+        p = os.path.join(dst_dir, "_schema", "engine.json")
+        os.makedirs(os.path.dirname(p), exist_ok=True)
+        storage_for(p).put_bytes(p, json.dumps(self._engine_meta(P)).encode())
         return total
 
     def delete_where(self, expr: str) -> int:
@@ -2034,18 +2015,12 @@ class CdcPipeline:
         dedup, crash-restore) on the next run().
 
         Scale shape: the matching keys never land on the driver — one
-        distributed filter+project over the lake, a shard-salted groupby,
-        and one segment file written per shard group. Unique lsns without
-        global coordination: shard s's k-th tombstone gets
-        base + 1 + s + k*n_shards (interleaved, all > the observed log
-        end). Batch semantics: issue while the log is quiescent, then
-        run(); in follow mode a lagging shard with no tombstones keeps
-        safe_frontier below the new lsns until its next data segment.
-        Returns the number of tombstones written."""
+        distributed filter+project over the lake, then
+        binlog_src.append_events (one segment per shard at interleaved
+        lsns above the log end; batch semantics there). Returns the
+        number of tombstones written."""
         cfg = self.cfg
-        base_lsn, fmt, n_shards = self._binlog_layout()
-        from thor_ray.gen import EVENT_SCHEMA, _EPOCH_TS_US
-
+        base_lsn = binlog_src.max_lsn(cfg.binlog_dir)
         keys = (self.final_table()
                 .filter(expr=expr)
                 .select_columns(["repo", "path"]))
@@ -2073,46 +2048,16 @@ class CdcPipeline:
             keys = hash_join(keys, pending, on=("repo", "path"),
                              join_type="left_anti")
 
-        def tag(t: pa.Table) -> pa.Table:
-            s = stable_hash(t, ["repo", "path"]) % n_shards
-            return t.append_column("shard", pa.array(s, type=pa.int32()))
+        def tombstone(t: pa.Table) -> pa.Table:
+            return t.append_column("op", pa.array(["D"] * t.num_rows,
+                                                  type=pa.string()))
 
-        binlog_dir, registry_ver = cfg.binlog_dir, \
-            SchemaRegistry.load(cfg.lake_dir).version
-
-        def write_segment(g: pd.DataFrame) -> pd.DataFrame:
-            s = int(g["shard"].iloc[0])
-            k = len(g)
-            lsn = base_lsn + 1 + s + np.arange(k, dtype=np.int64) * n_shards
-            t = pa.table({
-                "lsn": pa.array(lsn),
-                "txn": pa.array(np.zeros(k, dtype=np.int64)),
-                "op": pa.array(["D"] * k),
-                "repo": pa.array(g["repo"], type=pa.string()),
-                "path": pa.array(g["path"], type=pa.string()),
-                "commit": pa.nulls(k, type=pa.string()),
-                "lang": pa.nulls(k, type=pa.string()),
-                "content": pa.nulls(k, type=pa.large_string()),
-                "extra": pa.array(["{}"] * k, type=pa.large_string()),
-                "ddl": pa.nulls(k, type=pa.string()),
-                "ts": pa.array(_EPOCH_TS_US + lsn * 1000).cast(
-                    pa.timestamp("us")),
-                "schema_ver": pa.array(
-                    np.full(k, registry_ver, dtype=np.int32)),
-                "shard": pa.array(np.full(k, s, dtype=np.int32)),
-            }, schema=EVENT_SCHEMA)
-            # deterministic per (shard, base_lsn): a retried task on the
-            # same call overwrites; a re-issued call is deduped upstream
-            # by the pending-tombstone anti-join
-            name = f"shard-{s:04d}-del{base_lsn:010d}.{fmt}"
-            _write_binlog_segment(t, os.path.join(binlog_dir, name), fmt)
-            return pd.DataFrame([{"shard": s, "n": k}])
-
-        out = (keys.map_batches(tag, batch_format="pyarrow")
-               .groupby("shard")
-               .map_groups(write_segment, batch_format="pandas")
-               .to_pandas())
-        return int(out["n"].sum()) if len(out) else 0
+        # segments are deterministic per (shard, base_lsn): a retried task
+        # on the same call overwrites; a re-issued call is deduped above
+        # by the pending-tombstone anti-join
+        return binlog_src.append_events(
+            cfg.binlog_dir, keys.map_batches(tombstone, batch_format="pyarrow"),
+            "del", schema_ver=SchemaRegistry.load(cfg.lake_dir).version)
 
     def update_where(self, expr: str, set_fn,
                      ident: str | None = None) -> int:
@@ -2137,24 +2082,15 @@ class CdcPipeline:
 
         Scale shape: matched rows never land on the driver — one
         distributed filter over the lake's merge-on-read path, set_fn
-        inside map_batches, a shard-salted groupby, one segment file
-        written per shard group. Returns the event count."""
+        inside map_batches, then binlog_src.append_events (one segment
+        per shard). Returns the event count."""
         cfg = self.cfg
-        from thor_ray.gen import EVENT_SCHEMA, _EPOCH_TS_US
-
-        base_lsn, fmt, n_shards = self._binlog_layout()
         reg = SchemaRegistry.load(cfg.lake_dir)
-        evolved = list(reg.columns_at(reg.version))
-        registry_ver = reg.version
+        evolved = reg.columns_at(reg.version)
         wm = min((m.upto_lsn for m in
                   load_manifests(cfg.lake_dir).values()), default=0)
         if ident is None:
             ident = f"{hashlib.sha1(expr.encode()).hexdigest()[:8]}w{wm}"
-        prior = glob.glob(os.path.join(
-            cfg.binlog_dir, f"shard-*-upd{ident}-*.{fmt}"))
-        if prior:
-            base_lsn = int(os.path.basename(prior[0]).rsplit("-", 1)[1]
-                           .split(".")[0])
 
         def apply_set(t: pa.Table) -> pa.Table:
             out = set_fn(t)
@@ -2171,66 +2107,21 @@ class CdcPipeline:
                     raise ValueError(
                         f"update_where set_fn must not modify the "
                         f"primary key column {k!r}")
-            s = stable_hash(out, ["repo", "path"]) % n_shards
-            return out.append_column("shard", pa.array(s, type=pa.int32()))
+            return binlog_src.row_image_events(out, evolved, op="U")
 
-        binlog_dir = cfg.binlog_dir
-
-        def write_segment(g: pd.DataFrame) -> pd.DataFrame:
-            from thor_ray.stages.envelope import _json_encode_struct
-            s = int(g["shard"].iloc[0])
-            k = len(g)
-            lsn = base_lsn + 1 + s + np.arange(k, dtype=np.int64) * n_shards
-            if evolved:
-                gt = pa.Table.from_pandas(
-                    g[evolved].astype(object).where(
-                        pd.notna(g[evolved]), None),
-                    preserve_index=False)
-                extra = _json_encode_struct(gt, evolved).to_pandas()
-            else:
-                extra = pd.Series(["{}"] * k)
-
-            def payload(col: str, typ) -> pa.Array:
-                v = g[col] if col in g.columns else pd.Series([None] * k)
-                return pa.array(v.astype(object).where(pd.notna(v), None),
-                                type=typ)
-
-            t = pa.table({
-                "lsn": pa.array(lsn),
-                "txn": pa.array(np.zeros(k, dtype=np.int64)),
-                "op": pa.array(["U"] * k),
-                "repo": pa.array(g["repo"], type=pa.string()),
-                "path": pa.array(g["path"], type=pa.string()),
-                "commit": payload("commit", pa.string()),
-                "lang": payload("lang", pa.string()),
-                "content": payload("content", pa.large_string()),
-                "extra": pa.array(list(extra), type=pa.large_string()),
-                "ddl": pa.nulls(k, type=pa.string()),
-                "ts": pa.array(_EPOCH_TS_US + lsn * 1000).cast(
-                    pa.timestamp("us")),
-                "schema_ver": pa.array(
-                    np.full(k, registry_ver, dtype=np.int32)),
-                "shard": pa.array(np.full(k, s, dtype=np.int32)),
-            }, schema=EVENT_SCHEMA)
-            name = f"shard-{s:04d}-upd{ident}-{base_lsn:010d}.{fmt}"
-            _write_binlog_segment(t, os.path.join(binlog_dir, name), fmt)
-            return pd.DataFrame([{"shard": s, "n": k}])
-
-        out = (self.final_table()
-               .filter(expr=expr)
-               .map_batches(apply_set, batch_format="pyarrow")
-               .groupby("shard")
-               .map_groups(write_segment, batch_format="pandas")
-               .to_pandas())
-        return int(out["n"].sum()) if len(out) else 0
+        return binlog_src.append_events(
+            cfg.binlog_dir,
+            self.final_table().filter(expr=expr)
+            .map_batches(apply_set, batch_format="pyarrow"),
+            "upd", ident=ident, schema_ver=reg.version)
 
     def ingest_dataset(self, ds: "ray.data.Dataset", ident: str,
                        op: str = "U") -> int:
         """Bulk load (UPSERT/DELETE INTO … SELECT): append one event per
         row of an arbitrary Ray Dataset to the BINLOG at fresh
         interleaved lsns — fully distributed (rows never land on the
-        driver; shard-salted groupby, one atomic segment per shard) —
-        riding the normal exactly-once apply path on the next run().
+        driver; binlog_src.append_events, one atomic segment per shard)
+        — riding the normal exactly-once apply path on the next run().
 
         ``ds`` columns: ``repo``/``path`` (required, non-null) plus any
         subset of the payload columns (``commit``/``lang``/``content``
@@ -2244,18 +2135,14 @@ class CdcPipeline:
         segments at the same lsns (merge_branch pattern) — distinct
         loads need distinct idents. Returns the event count."""
         cfg = self.cfg
-        from thor_ray.gen import EVENT_SCHEMA, _EPOCH_TS_US
-
         if op not in ("I", "U", "D"):
             raise ValueError(f"op must be I/U/D, got {op!r}")
         if not ident or any(c in ident for c in "/\\.-"):
             raise ValueError(f"invalid ingest ident {ident!r} — no path "
                              "separators, dots or dashes (it names the "
                              "segment files)")
-        base_lsn, fmt, n_shards = self._binlog_layout()
         reg = SchemaRegistry.load(cfg.lake_dir)
-        evolved = list(reg.columns_at(reg.version))
-        registry_ver = reg.version
+        evolved = reg.columns_at(reg.version)
         known = {"repo", "path", "commit", "lang", "content", *evolved}
         cols = ds.schema().names
         unknown = sorted(set(cols) - known)
@@ -2264,69 +2151,16 @@ class CdcPipeline:
                              f"(lake schema: {sorted(known)})")
         if "repo" not in cols or "path" not in cols:
             raise ValueError("ingest_dataset needs repo and path columns")
-        prior = glob.glob(os.path.join(
-            cfg.binlog_dir, f"shard-*-ing{ident}-*.{fmt}"))
-        if prior:
-            base_lsn = int(os.path.basename(prior[0]).rsplit("-", 1)[1]
-                           .split(".")[0])
 
-        def tag(t: pa.Table) -> pa.Table:
+        def to_events(t: pa.Table) -> pa.Table:
             for k in ("repo", "path"):
                 if t[k].null_count:
                     raise ValueError(f"ingest_dataset: null {k} in input")
-            s = stable_hash(t, ["repo", "path"]) % n_shards
-            return t.append_column("shard", pa.array(s, type=pa.int32()))
+            return binlog_src.row_image_events(t, evolved, op=op)
 
-        binlog_dir, present = cfg.binlog_dir, set(cols)
-
-        def write_segment(g: pd.DataFrame) -> pd.DataFrame:
-            from thor_ray.stages.envelope import _json_encode_struct
-            s = int(g["shard"].iloc[0])
-            k = len(g)
-            lsn = base_lsn + 1 + s + np.arange(k, dtype=np.int64) * n_shards
-            ev_here = [c for c in evolved if c in present]
-            if ev_here and op != "D":
-                gt = pa.Table.from_pandas(
-                    g[ev_here].astype(object).where(
-                        pd.notna(g[ev_here]), None),
-                    preserve_index=False)
-                extra = _json_encode_struct(gt, ev_here).to_pandas()
-            else:
-                extra = pd.Series(["{}"] * k)
-
-            def payload(col: str, typ) -> pa.Array:
-                if op == "D" or col not in present:
-                    return pa.nulls(k, type=typ)
-                v = g[col]
-                return pa.array(v.astype(object).where(pd.notna(v), None),
-                                type=typ)
-
-            t = pa.table({
-                "lsn": pa.array(lsn),
-                "txn": pa.array(np.zeros(k, dtype=np.int64)),
-                "op": pa.array([op] * k),
-                "repo": pa.array(g["repo"], type=pa.string()),
-                "path": pa.array(g["path"], type=pa.string()),
-                "commit": payload("commit", pa.string()),
-                "lang": payload("lang", pa.string()),
-                "content": payload("content", pa.large_string()),
-                "extra": pa.array(list(extra), type=pa.large_string()),
-                "ddl": pa.nulls(k, type=pa.string()),
-                "ts": pa.array(_EPOCH_TS_US + lsn * 1000).cast(
-                    pa.timestamp("us")),
-                "schema_ver": pa.array(
-                    np.full(k, registry_ver, dtype=np.int32)),
-                "shard": pa.array(np.full(k, s, dtype=np.int32)),
-            }, schema=EVENT_SCHEMA)
-            name = f"shard-{s:04d}-ing{ident}-{base_lsn:010d}.{fmt}"
-            _write_binlog_segment(t, os.path.join(binlog_dir, name), fmt)
-            return pd.DataFrame([{"shard": s, "n": k}])
-
-        out = (ds.map_batches(tag, batch_format="pyarrow")
-               .groupby("shard")
-               .map_groups(write_segment, batch_format="pandas")
-               .to_pandas())
-        return int(out["n"].sum()) if len(out) else 0
+        return binlog_src.append_events(
+            cfg.binlog_dir, ds.map_batches(to_events, batch_format="pyarrow"),
+            "ing", ident=ident, schema_ver=reg.version)
 
     def archive_binlog(self) -> int:
         """Retire binlog segments every partition has committed past (max
@@ -2340,18 +2174,6 @@ class CdcPipeline:
             return 0
         wm = min(m.upto_lsn for m in ms.values())
         return binlog_src.archive_binlog(self.cfg.binlog_dir, wm)
-
-    def _binlog_layout(self) -> "tuple[int, str, int]":
-        """(max lsn, wire format, shard count) of the binlog — the shape
-        facts every out-of-band segment writer needs."""
-        cfg = self.cfg
-        base_lsn = binlog_src.max_lsn(cfg.binlog_dir)
-        fmt = binlog_src.binlog_format(cfg.binlog_dir)
-        exp = binlog_src.expected_shards(cfg.binlog_dir)
-        n_shards = len(exp) if exp else max(
-            1, len({os.path.basename(p)[:10]
-                    for p in binlog_src.shard_files(cfg.binlog_dir)}))
-        return base_lsn, fmt, n_shards
 
     def replay_dlq(self, fix: "object | None" = None) -> int:
         """Kafka-Connect-style DLQ reprocessing: run the dead-lettered
@@ -2383,9 +2205,7 @@ class CdcPipeline:
         files = sorted(_glob.glob(os.path.join(dlq_dir, "dlq-*.parquet")))
         if not files:
             return 0
-        base_lsn, fmt, n_shards = self._binlog_layout()
-        from thor_ray.gen import EVENT_SCHEMA
-
+        base_lsn = binlog_src.max_lsn(cfg.binlog_dir)
         ds = ray.data.read_parquet(files)
 
         def strip_marker(t: pa.Table) -> pa.Table:
@@ -2416,45 +2236,11 @@ class CdcPipeline:
                                 names=names if cfg.constraints else None),
             batch_format="pyarrow")
 
-        binlog_dir = cfg.binlog_dir
-
-        def tag(t: pa.Table) -> pa.Table:
-            s = stable_hash(t, ["repo", "path"]) % n_shards
-            return t.append_column("_rs", pa.array(s, type=pa.int64()))
-
-        def write_segment(g: pd.DataFrame) -> pd.DataFrame:
-            # original-lsn order within the shard → same-key events keep
-            # their original relative order under the fresh lsns
-            g = g.sort_values("lsn", kind="stable")
-            s = int(g["_rs"].iloc[0])
-            k = len(g)
-            lsn = base_lsn + 1 + s + np.arange(k, dtype=np.int64) * n_shards
-            from thor_ray.gen import _EPOCH_TS_US
-            # DLQ rows carry the APPLY_COLS projection; synthesize the
-            # wire-only fields (txn/ddl/ts) like delete_where does
-            synth = {
-                "lsn": pa.array(lsn),
-                "txn": pa.array(np.zeros(k, dtype=np.int64)),
-                "ddl": pa.nulls(k, type=pa.string()),
-                "ts": pa.array(_EPOCH_TS_US + lsn * 1000).cast(
-                    pa.timestamp("us")),
-                "shard": pa.array(np.full(k, s, dtype=np.int32)),
-            }
-            cols = {f.name: synth[f.name] if f.name in synth else
-                    pa.array(g[f.name], type=f.type, from_pandas=True)
-                    for f in EVENT_SCHEMA}
-            t = pa.table(cols, schema=EVENT_SCHEMA)
-            # deterministic per (shard, base_lsn): a retried task on the
-            # same call overwrites, never duplicates
-            name = f"shard-{s:04d}-rpl{base_lsn:010d}.{fmt}"
-            _write_binlog_segment(t, os.path.join(binlog_dir, name), fmt)
-            return pd.DataFrame([{"shard": s, "n": k}])
-
-        out = (ds.map_batches(tag, batch_format="pyarrow")
-               .groupby("_rs")
-               .map_groups(write_segment, batch_format="pandas")
-               .to_pandas())
-        n = int(out["n"].sum()) if len(out) else 0
+        # fresh lsns in original-lsn order within the shard → same-key
+        # events keep their original relative order; DLQ rows carry the
+        # APPLY_COLS projection, append_events synthesizes txn/ddl/ts
+        n = binlog_src.append_events(cfg.binlog_dir, ds, "rpl",
+                                     order_by="lsn")
 
         # commit the consumption: archive originals, surface the remainder
         arch = os.path.join(dlq_dir, "replayed")

@@ -576,6 +576,145 @@ def read_ddl_events(binlog_dir: str, lo: int, hi: int) -> list[dict]:
     ]
 
 
+# --- out-of-band appends ----------------------------------------------------
+# Retention deletes, updates, bulk loads, DLQ replay and branch merges never
+# edit the lake: they append ordinary events to the log at fresh lsns, and
+# the next run() applies them through the normal exactly-once path.
+# append_events is the one writer all of them go through.
+
+def _write_binlog_segment(t: pa.Table, path: str, fmt: str) -> None:
+    """Atomically write one binlog segment in the log's wire format
+    (append_events' segments and the producer's flush)."""
+    from thor_ray.state.storage import storage_for
+
+    def stage(tmp: str) -> None:
+        if fmt == "parquet":
+            pq.write_table(t, tmp, row_group_size=16 * 1024)
+        elif fmt in ("jsonl", "jsonl.gz"):
+            df = t.to_pandas()
+            df["ts"] = df["ts"].astype("int64")
+            df.to_json(tmp, orient="records", lines=True,
+                       compression="gzip" if fmt == "jsonl.gz" else None)
+        else:  # csv
+            import pyarrow.csv as pacsv
+            t2 = t.set_column(t.schema.get_field_index("ts"), "ts",
+                              t["ts"].cast(pa.int64()))
+            pacsv.write_csv(t2, tmp)
+
+    storage_for(path).put_atomic(path, stage)
+
+
+def binlog_layout(binlog_dir: str) -> tuple[int, str, int]:
+    """(max lsn, wire format, shard count) of the binlog — the shape
+    facts every appended segment must match."""
+    exp = expected_shards(binlog_dir)
+    n_shards = len(exp) if exp else max(
+        1, len({os.path.basename(p)[:10] for p in shard_files(binlog_dir)}))
+    return max_lsn(binlog_dir), binlog_format(binlog_dir), n_shards
+
+
+def row_image_events(t: pa.Table, evolved: list[str],
+                     op: str | None = None) -> pa.Table:
+    """Lake row images → event rows for append_events: the evolved
+    columns present are JSON-encoded into `extra` (full images), and on
+    op='D' rows the payload is nulled and `extra` is "{}" (a tombstone
+    carries only its key). `op` sets every row's verb; without it `t`
+    must carry an op column."""
+    n = t.num_rows
+    if op is not None:
+        t = t.append_column("op", pa.array([op] * n, type=pa.string()))
+    ev = [c for c in evolved if c in t.column_names]
+    if ev:
+        from thor_ray.stages.envelope import _json_encode_struct
+        extra = _json_encode_struct(t, ev)
+    else:
+        extra = pa.array(["{}"] * n, type=pa.string())
+    is_del = pc.fill_null(pc.equal(t["op"], "D"), False)
+    cols = {"op": t["op"], "repo": t["repo"], "path": t["path"]}
+    for c in ("commit", "lang", "content"):
+        if c in t.column_names:
+            cols[c] = pc.if_else(is_del, pa.scalar(None, t[c].type), t[c])
+    cols["extra"] = pc.if_else(is_del, pa.scalar("{}"), extra)
+    return pa.table(cols)
+
+
+def append_events(binlog_dir: str, events: "ray.data.Dataset", kind: str,
+                  ident: str | None = None, order_by: str | None = None,
+                  schema_ver: int = 0) -> int:
+    """Append `events` to the binlog above its current end; returns the
+    event count.
+
+    Rows carry `repo`, `path`, `op` and any of commit / lang / content /
+    extra / schema_ver: a missing payload column is null, a missing
+    `extra` is "{}", a missing `schema_ver` is `schema_ver` (the lake's
+    registry version). Each row goes to shard stable_hash(repo, path) %
+    n_shards; one groupby on the shard writes one atomic segment per
+    shard. Unique lsns without global coordination: shard s's k-th event
+    gets base + 1 + s + k*n_shards (interleaved, all above the observed
+    log end), in `order_by` order when given (replay_dlq keeps the
+    original lsn order of same-key events that way).
+
+    Segment names are deterministic, so a retried task overwrites its own
+    segment: ``shard-SSSS-{kind}{base:010d}`` without an ident, and
+    ``shard-SSSS-{kind}{ident}-{base:010d}`` with one. An identity-keyed
+    append issued again before the next run() finds its segments by name
+    and reuses their base lsn — it overwrites them at the same lsns
+    instead of appending a second copy above the end its first issue
+    raised. Batch semantics: append while the log is quiescent, then
+    run(); in follow mode a lagging shard with no appended events keeps
+    safe_frontier below the new lsns until its next data segment."""
+    from thor_ray.gen import _EPOCH_TS_US, EVENT_SCHEMA
+    from thor_ray.stages.smt import stable_hash
+
+    base_lsn, fmt, n_shards = binlog_layout(binlog_dir)
+    if ident is not None:
+        prior = glob.glob(os.path.join(
+            binlog_dir, f"shard-*-{kind}{ident}-*.{fmt}"))
+        if prior:
+            base_lsn = int(os.path.basename(prior[0]).rsplit("-", 1)[1]
+                           .split(".")[0])
+    stem = f"{kind}{base_lsn:010d}" if ident is None \
+        else f"{kind}{ident}-{base_lsn:010d}"
+
+    def tag(t: pa.Table) -> pa.Table:
+        if "shard" in t.column_names:   # a re-injected event's old shard
+            t = t.drop_columns(["shard"])
+        s = stable_hash(t, ["repo", "path"]) % n_shards
+        return t.append_column("shard", pa.array(s, type=pa.int32()))
+
+    def write(g: pa.Table) -> pa.Table:
+        if order_by is not None:
+            g = g.sort_by(order_by)
+        s, k = g["shard"][0].as_py(), g.num_rows
+        lsn = base_lsn + 1 + s + np.arange(k, dtype=np.int64) * n_shards
+        own = {
+            "lsn": pa.array(lsn),
+            "txn": pa.array(np.zeros(k, dtype=np.int64)),
+            "ddl": pa.nulls(k, type=pa.string()),
+            "ts": pa.array(_EPOCH_TS_US + lsn * 1000).cast(
+                pa.timestamp("us")),
+            "shard": pa.array(np.full(k, s, dtype=np.int32)),
+        }
+        default = {
+            "extra": pa.array(["{}"] * k, type=pa.large_string()),
+            "schema_ver": pa.array(np.full(k, schema_ver, dtype=np.int32)),
+        }
+        seg = pa.table(
+            [own[f.name] if f.name in own
+             else g[f.name].cast(f.type) if f.name in g.column_names
+             else default.get(f.name, pa.nulls(k, type=f.type))
+             for f in EVENT_SCHEMA], schema=EVENT_SCHEMA)
+        _write_binlog_segment(
+            seg, os.path.join(binlog_dir, f"shard-{s:04d}-{stem}.{fmt}"), fmt)
+        return pa.table({"n": pa.array([k], type=pa.int64())})
+
+    out = (events.map_batches(tag, batch_format="pyarrow")
+           .groupby("shard")
+           .map_groups(write, batch_format="pyarrow")
+           .to_pandas())
+    return int(out["n"].sum()) if len(out) else 0
+
+
 def archive_binlog(binlog_dir: str, below_lsn: int) -> int:
     """Retire fully-consumed shard segments: move every shard file whose
     max lsn <= `below_lsn` into ``binlog_dir/_archive/``, EXCEPT each

@@ -26,7 +26,8 @@ no shuffle — the cross-lake generalization of ``snapshot_diff``.
 ``merge_branch`` folds a branch's changes-since-fork back into a target
 pipeline's lake the CDC-idiomatic way: the (fork → branch-now) diff is
 written into the TARGET'S BINLOG as ordinary I/U/D events at fresh
-interleaved lsns (the delete_where injection pattern) and rides the
+interleaved lsns (``sources.binlog.append_events``, the one append path
+of every out-of-band writer) and rides the
 normal exactly-once apply on the next ``run()`` — the lake itself is
 never mutated out-of-band. ``strategy="fail_on_conflict"`` refuses when
 the target also changed a branch-modified key since the fork (computed as
@@ -283,9 +284,7 @@ def merge_branch(branch_dir: str, target, *,
     (module docstring). ``target`` is the CdcPipeline whose lake receives
     the merge; call ``target.run()`` afterwards to apply. Returns the
     number of injected events."""
-    from thor_ray.pipelines.cdc import _write_binlog_segment
-    from thor_ray.gen import EVENT_SCHEMA, _EPOCH_TS_US
-    from thor_ray.stages.smt import stable_hash
+    from thor_ray.sources.binlog import append_events, row_image_events
     from thor_ray.state import SchemaRegistry, load_manifests
 
     if strategy not in ("theirs", "fail_on_conflict"):
@@ -324,73 +323,20 @@ def merge_branch(branch_dir: str, target, *,
                     f"{clash.to_dict('records')[:3]}"
                     " — resolve or merge with strategy='theirs'")
 
-    base_lsn, fmt, n_shards = target._binlog_layout()
     # merge identity → true idempotence: a re-issued merge of the SAME
     # (fork, branch-state) pair must overwrite its own segments at the
     # SAME lsns, not append a second copy at the new log end (the first
     # injection raised max_lsn). The identity is encoded in the segment
-    # name; on re-issue the original base lsn is parsed back from it.
-    from thor_ray.state import load_manifests as _lm
+    # name; on re-issue append_events parses the original base lsn back.
     ident = (f"{min(m.upto_lsn for m in fork.values())}x"
-             f"{min(m.upto_lsn for m in _lm(branch_dir).values())}")
-    prior = glob.glob(os.path.join(
-        cfg.binlog_dir, f"shard-*-mrg{ident}-*.{fmt}"))
-    if prior:
-        base_lsn = int(os.path.basename(prior[0]).rsplit("-", 1)[1]
-                       .split(".")[0])
-    evolved = [c for c in reg_t.columns_at(reg_t.version)]
-    registry_ver = reg_t.version
-    binlog_dir = cfg.binlog_dir
+             f"{min(m.upto_lsn for m in load_manifests(branch_dir).values())}")
+    evolved = reg_t.columns_at(reg_t.version)
 
-    def tag(t: pa.Table) -> pa.Table:
-        s = stable_hash(t, ["repo", "path"]) % n_shards
-        return t.append_column("shard", pa.array(s, type=pa.int32()))
+    def to_events(t: pa.Table) -> pa.Table:
+        t = t.rename_columns(["op" if c == "change" else c
+                              for c in t.column_names])
+        return row_image_events(t, evolved)
 
-    def write_segment(g: pd.DataFrame) -> pd.DataFrame:
-        from thor_ray.stages.envelope import _json_encode_struct
-        s = int(g["shard"].iloc[0])
-        k = len(g)
-        lsn = base_lsn + 1 + s + np.arange(k, dtype=np.int64) * n_shards
-        op = g["change"]
-        if evolved:
-            gt = pa.Table.from_pandas(
-                g[evolved].astype(object).where(pd.notna(g[evolved]), None),
-                preserve_index=False)
-            extra = _json_encode_struct(gt, evolved).to_pandas()
-        else:
-            extra = pd.Series(["{}"] * k)
-        is_del = (g["change"] == "D").to_numpy()
-        extra = extra.where(~is_del, "{}")
-
-        def payload(col: str, typ) -> pa.Array:
-            v = g[col] if col in g.columns else pd.Series([None] * k)
-            v = v.where(~is_del, None)
-            return pa.array(v.astype(object).where(pd.notna(v), None),
-                            type=typ)
-
-        t = pa.table({
-            "lsn": pa.array(lsn),
-            "txn": pa.array(np.zeros(k, dtype=np.int64)),
-            "op": pa.array(list(op), type=pa.string()),
-            "repo": pa.array(g["repo"], type=pa.string()),
-            "path": pa.array(g["path"], type=pa.string()),
-            "commit": payload("commit", pa.string()),
-            "lang": payload("lang", pa.string()),
-            "content": payload("content", pa.large_string()),
-            "extra": pa.array(list(extra), type=pa.large_string()),
-            "ddl": pa.nulls(k, type=pa.string()),
-            "ts": pa.array(_EPOCH_TS_US + lsn * 1000).cast(
-                pa.timestamp("us")),
-            "schema_ver": pa.array(
-                np.full(k, registry_ver, dtype=np.int32)),
-            "shard": pa.array(np.full(k, s, dtype=np.int32)),
-        }, schema=EVENT_SCHEMA)
-        name = f"shard-{s:04d}-mrg{ident}-{base_lsn:010d}.{fmt}"
-        _write_binlog_segment(t, os.path.join(binlog_dir, name), fmt)
-        return pd.DataFrame([{"shard": s, "n": k}])
-
-    out = (changes.map_batches(tag, batch_format="pyarrow")
-           .groupby("shard")
-           .map_groups(write_segment, batch_format="pandas")
-           .to_pandas())
-    return int(out["n"].sum()) if len(out) else 0
+    return append_events(
+        cfg.binlog_dir, changes.map_batches(to_events, batch_format="pyarrow"),
+        "mrg", ident=ident, schema_ver=reg_t.version)

@@ -148,7 +148,7 @@ class BinlogProducer:
         """Assign lsns, write one atomic segment per non-empty shard,
         commit producer state. Returns {"events", "segments",
         "first_lsn", "last_lsn"}."""
-        from thor_ray.pipelines.cdc import _write_binlog_segment
+        from thor_ray.sources.binlog import _write_binlog_segment
         from thor_ray.stages.smt import stable_hash
 
         if not self._buf:
