@@ -284,6 +284,11 @@ def run_bench() -> dict:
         # documents the headline change at round 5).
         "cdc_events_per_sec": (shm_evps if shm_evps
                                else round(events_per_sec, 1)),
+        # which lake medium the headline above measured ("disk" when the
+        # shm replay was skipped or read zero), and the version of this
+        # JSON shape
+        "cdc_events_per_sec_medium": "shm" if shm_evps else "disk",
+        "bench_schema": 2,
         "cdc_events_per_sec_disk_lake": round(events_per_sec, 1),
         "cdc_write_mode": mode,
     }

@@ -140,3 +140,65 @@ def test_base_and_snapshot_files_carry_footers(ray_session, tmp_path):
         assert len(lake_lookup(lake, [("repo-zz", "nowhere.py")],
                                stats=stats)) == 0
         assert stats == {"files_total": 1, "files_read": 0}, (lake, stats)
+
+
+@pytest.fixture
+def hand_lake(tmp_path):
+    """A one-partition delta lake written by the state-file writer: a
+    full base run and one delta run. In the delta, (r0, gone.py) is a
+    tombstone over a base row and (r0, dead.py) a tombstone with no
+    older row; (r1, shared.py) is updated while (r0, shared.py) — same
+    path, other repo — keeps its base row."""
+    from thor_ray.pipelines.cdc import _write_state_file
+    from thor_ray.state import Manifest, write_manifest
+
+    def rows(spec):
+        return pd.DataFrame({
+            "repo": [r for r, *_ in spec], "path": [p for _, p, *_ in spec],
+            "commit": "c", "lang": "py",
+            "content": [c for *_, c, _, _ in spec],
+            "_lsn": np.array([n for *_, n, _ in spec], dtype=np.int64),
+            "_sha": "", "_op": [o for *_, o in spec]})
+
+    lake = str(tmp_path / "lake")
+    part = os.path.join(lake, "part=00000")
+    os.makedirs(part)
+    base = os.path.join(part, "state-e000000.parquet")
+    delta = os.path.join(part, "state-e000001.parquet")
+    _write_state_file(rows([("r0", "shared.py", "base-r0", 0, "U"),
+                            ("r1", "shared.py", "base-r1", 0, "U"),
+                            ("r0", "gone.py", "was-here", 0, "U")]),
+                      base, [])
+    _write_state_file(rows([("r1", "shared.py", "new-r1", 5, "U"),
+                            ("r0", "gone.py", "", 6, "D"),
+                            ("r0", "dead.py", "", 7, "D")]),
+                      delta, [], kind="delta")
+    write_manifest(lake, Manifest(0, 1, 7, 0, [base, delta], -1, ""))
+    return lake
+
+
+def test_lookup_tombstone_only_key_is_absent(hand_lake):
+    """A key whose only row in the files the bloom keeps is a tombstone
+    (the base file bloom-misses it) folds to nothing, as does a key
+    whose tombstone outranks a base row."""
+    stats: dict = {}
+    assert len(lake_lookup(hand_lake, [("r0", "dead.py")],
+                           stats=stats)) == 0
+    assert stats == {"files_total": 2, "files_read": 1}, stats
+    assert len(lake_lookup(hand_lake, [("r0", "gone.py")])) == 0
+
+
+def test_lookup_shared_path_other_repo(hand_lake):
+    """The parquet read filters on path alone, which also yields the
+    other repo's row of a shared path: the exact (repo, path) match must
+    drop it, in both directions."""
+    got = lake_lookup(hand_lake, [("r0", "shared.py")])
+    assert got[["repo", "path", "content"]].values.tolist() == \
+        [["r0", "shared.py", "base-r0"]]
+    got = lake_lookup(hand_lake, [("r1", "shared.py")])
+    assert got[["repo", "path", "content"]].values.tolist() == \
+        [["r1", "shared.py", "new-r1"]]
+    got = lake_lookup(hand_lake, [("r1", "shared.py"), ("r0", "shared.py"),
+                                  ("r2", "shared.py")])
+    assert got["content"].tolist() == ["base-r0", "new-r1"]
+    assert not {"_lsn", "_sha", "_op"} & set(got.columns)

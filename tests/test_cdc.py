@@ -72,11 +72,12 @@ def test_replay_matches_oracle_all_shuffles(ray_session, fixture, tmp_path, shuf
 
 
 @contextlib.contextmanager
-def drift_records():
+def drift_records(needles=("different schema",)):
     """Collect the "Operator produced a RefBundle with a different schema"
     records Ray Data logs while the block runs: it logs one whenever an
     operator's blocks disagree (e.g. string vs large_string, or an empty
-    block after a non-empty one)."""
+    block after a non-empty one). ``needles`` widens the net to other
+    Ray Data warnings by message substring."""
     import logging
 
     class Drift(logging.Handler):
@@ -85,22 +86,25 @@ def drift_records():
             self.records = []
 
         def emit(self, record):
-            if "different schema" in record.getMessage():
+            if any(n in record.getMessage() for n in needles):
                 self.records.append(record.getMessage())
 
     log = logging.getLogger("ray.data")
-    child = logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state")
-    old_level = child.level
-    if not child.isEnabledFor(logging.WARNING):
-        child.setLevel(logging.WARNING)
+    children = [logging.getLogger(
+        f"ray.data._internal.{m}") for m in (
+        "execution.streaming_executor_state", "arrow_ops.transform_pyarrow")]
+    old_levels = [c.level for c in children]
+    for child in children:
+        if not child.isEnabledFor(logging.WARNING):
+            child.setLevel(logging.WARNING)
     h = Drift()
     log.addHandler(h)
     try:
         yield h.records
     finally:
         log.removeHandler(h)
-        child.setLevel(old_level)
+        for child, lvl in zip(children, old_levels):
+            child.setLevel(lvl)
 
 
 def test_spill_replay_no_schema_drift(ray_session, fixture, tmp_path):
@@ -286,6 +290,42 @@ def test_crash_between_spill_and_commit(ray_session, fixture, tmp_path):
     pipe2 = CdcPipeline(cfg)
     pipe2.run()
     assert_matches_oracle(pipe2, fixture)
+
+
+def test_lake_reads_hand_ray_one_hashable_schema(ray_session, fixture,
+                                                 tmp_path):
+    """Every state file carries thor_kind/thor_bloom footer metadata, and
+    a schema with metadata cannot be hashed: both read_lake paths (the
+    plain read of a compacted lake, the merge-on-read of a delta lake)
+    must hand Ray Data metadata-free schemas that agree across blocks —
+    no "Failed to hash the schemas" and no "different schema" record."""
+    from thor_ray.sources.lake import read_lake
+
+    lake = str(tmp_path / "lake")
+    pipe = CdcPipeline(CdcConfig(
+        lake_dir=lake, binlog_dir=fixture["binlog_dir"], num_partitions=8,
+        epoch_size=2_000, write_mode="delta", compact_every=100))
+    pipe.run(base=fixture["base_path"], max_epochs=1)
+    assert all(len(m.files) == 2 for m in load_manifests(lake).values())
+    with drift_records(("Failed to hash the schemas",
+                        "different schema")) as records:
+        delta = read_lake(lake, keep_internal=True).to_pandas()
+        pruned = read_lake(lake, columns=["path", "content"]).to_pandas()
+        pipe.compact()
+        compacted = read_lake(lake, keep_internal=True).to_pandas()
+        visible = read_lake(lake)
+        names = visible.schema().names
+        n_visible = visible.count()
+    assert records == []
+    assert len(delta) == len(compacted) == len(pruned) == n_visible > 0
+    assert names == [c for c in delta.columns if not c.startswith("_")]
+    assert list(pruned.columns) == ["path", "content"]
+    # compaction rewrites a live row's _op to "U"; everything else holds
+    key, cols = ["repo", "path"], [c for c in delta.columns if c != "_op"]
+    pd.testing.assert_frame_equal(
+        delta.sort_values(key).reset_index(drop=True)[cols],
+        compacted.sort_values(key).reset_index(drop=True)[cols],
+        check_dtype=False)
 
 
 def test_standalone_compaction(ray_session, fixture, tmp_path):

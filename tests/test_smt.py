@@ -396,6 +396,24 @@ def test_header_smts_connect_semantics():
     assert "c" not in out.column_names and "hdr_c" not in out.column_names
 
 
+def test_insert_header_type_independent_of_batch_size():
+    """An empty batch and a full one get the same header field type (the
+    literal's), so batches of one stream concatenate."""
+    import pyarrow as pa
+
+    from thor_ray.stages.smt import insert_header
+
+    full = pa.table({"a": [1, 2]})
+    for value, typ in (("prod", pa.string()), (7, pa.int64()),
+                       (None, pa.null())):
+        ins = insert_header("env", value)
+        got = [ins(t).schema.field("hdr_env").type
+               for t in (full.slice(0, 0), full)]
+        assert got == [typ, typ], (value, got)
+    assert insert_header("env", "prod")(full)["hdr_env"].to_pylist() == \
+        ["prod", "prod"]
+
+
 def test_connect_builtin_predicates():
     """T12b: HasHeaderKey / RecordIsTombstone / TopicNameMatches +
     negate, standalone and gating an SMT."""

@@ -229,3 +229,16 @@ def test_pyarrowfs_put_atomic_and_list_roundtrip(tmp_path):
     assert not store.exists(p)
     with pytest.raises(FileNotFoundError):
         store.read_bytes(p)
+
+
+def test_auto_scheme_maps_non_suffix_uris(tmp_path):
+    """pyarrow.fs decodes a URI's path (%20 → ' '), so its native path is
+    not always a suffix of the URI: the mapper strips the scheme and
+    authority instead of raising, for percent-encoded and '..' paths."""
+    enc = f"file://{tmp_path}/a%20b/x.parquet"
+    dots = f"file://{tmp_path}/q/../r/x.parquet"
+    store = storage_for(enc)
+    assert store._map(enc) == f"{tmp_path}/a%20b/x.parquet"
+    assert store._map(dots) == f"{tmp_path}/q/../r/x.parquet"
+    store.put_bytes(enc, b"{}")
+    assert store.read_bytes(enc) == b"{}"

@@ -52,6 +52,7 @@ from thor_ray.state import (Manifest, SchemaRegistry, archive_manifest,
                             gc_lake, load_manifests, prune_history,
                             read_snapshot_meta, snapshot_active,
                             write_manifest, write_snapshot_meta)
+from thor_ray.state.merge import dict_codes, merge_runs
 from thor_ray.state.storage import storage_for
 
 BASE_COLS = ["repo", "path", "commit", "lang", "content"]
@@ -380,16 +381,6 @@ def _spill_stage1(t: pa.Table, *, ex_dir: str, n_slots: int) -> pa.Table:
         counts["rows"].append(len(sl))
     return pa.table(counts, schema=pa.schema([("slot", pa.int64()),
                                               ("rows", pa.int64())]))
-
-
-def dict_codes(col: "pa.ChunkedArray") -> tuple[np.ndarray, int]:
-    """(global dictionary codes, dictionary size) for a string column —
-    combined first so codes are table-global, not per-chunk."""
-    arr = col.combine_chunks()
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.chunk(0) if arr.num_chunks else pa.array([], type=pa.string())
-    d = pc.dictionary_encode(pc.fill_null(arr, ""))  # null key ≙ ""
-    return np.asarray(d.indices, dtype=np.int64), len(d.dictionary)
 
 
 def _reduce_slot_events(t: pa.Table, *, ctx: dict, num_partitions: int
@@ -961,11 +952,8 @@ def _write_state_file(df: pd.DataFrame, final_path: str, evolved: list[str],
 def _read_state(files: list[str], keep_tombstones: bool = False) -> pd.DataFrame:
     """Merge-on-read: newest (_lsn) row per key wins; tombstones drop
     (kept, still winning, while an incremental snapshot retains them)."""
-    from thor_ray.sources.lake import merge_state_frames
-
-    return merge_state_frames(
-        [pq.read_table(f).to_pandas() for f in files],
-        drop_tombstones=not keep_tombstones)
+    return merge_runs([pq.read_table(f) for f in files],
+                      keep_tombstones=keep_tombstones).to_pandas()
 
 
 def _state_with_ddls(prior_files: list[str], applied_ddls: list[dict],

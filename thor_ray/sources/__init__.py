@@ -7,7 +7,7 @@ from .lake import (ChangefeedConsumer, LakeEnricher, compact_lake,
                    compact_upto, consistent_epoch, consumer_groups,
                    enrich_with_lake, export_changefeed_envelopes, fsck,
                    lake_lookup,
-                   lake_stats, maintain_group_counts, merge_state_frames,
+                   lake_stats, maintain_group_counts,
                    read_changefeed, read_changefeed_full, read_lake,
                    read_demux_consistent, read_lake_at, read_lineage,
                    read_partition_state, replicate_lake, snapshot_diff)
@@ -23,7 +23,7 @@ __all__ = ["ChangefeedConsumer", "SinkConnector", "compact_lake", "compact_upto"
            "fsck", "max_lsn", "read_ddl_events", "read_epoch", "safe_frontier",
            "shard_frontiers", "lake_lookup", "lake_stats",
            "maintain_group_counts",
-           "merge_state_frames", "pruned_fragments", "read_changefeed",
+           "pruned_fragments", "read_changefeed",
            "read_changefeed_full", "read_lake",
            "read_lake_at", "read_lineage", "read_partition_state",
            "read_range", "replicate_lake", "SecondaryIndex",

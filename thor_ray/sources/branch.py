@@ -191,7 +191,8 @@ def _diff_manifest_sets(ms_a: dict, ms_b: dict,
     the snapshot_diff kernel generalized across lakes. With
     ``payload_b=True`` the I/U rows also carry side-b's payload columns
     (what a merge injects)."""
-    from thor_ray.sources.lake import INTERNAL_COLS, merge_state_frames
+    from thor_ray.sources.lake import INTERNAL_COLS
+    from thor_ray.state.merge import merge_runs
     import pyarrow.parquet as pq
 
     pids = sorted(set(ms_a) | set(ms_b))
@@ -205,10 +206,9 @@ def _diff_manifest_sets(ms_a: dict, ms_b: dict,
     def diff_task(batch: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for fa, fb in zip(batch["files_a"], batch["files_b"]):
-            a = merge_state_frames(
-                [pq.read_table(f).to_pandas() for f in json.loads(fa)])
-            b = merge_state_frames(
-                [pq.read_table(f).to_pandas() for f in json.loads(fb)])
+            a, b = (merge_runs([pq.read_table(f)
+                                for f in json.loads(fs)]).to_pandas()
+                    for fs in (fa, fb))
             for df in (a, b):
                 for c in ("repo", "path", "_lsn"):
                     if c not in df.columns:

@@ -14,35 +14,39 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
 
+from thor_ray.state.merge import merge_runs
+
 INTERNAL_COLS = ["_lsn", "_sha", "_op"]
 
 
-def merge_state_frames(frames: list[pd.DataFrame],
-                       drop_tombstones: bool = True) -> pd.DataFrame:
-    """LSM merge: newest (_lsn) row per (repo, path) wins; tombstones drop.
+def _union_schema(files: list[str]) -> pa.Schema:
+    """One schema for a read of ``files``: every footer's schema unified
+    (a snapshot-chunk file lacks the evolved columns; alter_type widens),
+    WITHOUT footer metadata. Every block of a lake read carries it, so
+    Ray Data sees one schema — and a hashable one: a schema carrying the
+    thor_kind/thor_bloom footer dict cannot be hashed, which Ray's
+    schema unification reports as a warning on every read."""
+    return pa.unify_schemas([pq.read_schema(f).remove_metadata()
+                             for f in files], promote_options="permissive")
 
-    All frames of one partition share a schema (DDL epochs force
-    compaction, so a file run is never schema-mixed; an incremental-
-    snapshot chunk file carries only the base columns — concat fills the
-    evolved columns with null, which is exactly the oracle's value for a
-    base row after an add_column).
 
-    drop_tombstones=False keeps the winning 'D' rows in the result —
-    required while an incremental snapshot is in progress, when a delete
-    must keep outranking a base-image chunk row (_lsn=0) that arrives
-    later (CdcPipeline.run_incremental)."""
-    if not frames:
-        return pd.DataFrame()
-    df = pd.concat(frames, ignore_index=True)
-    df = df.sort_values("_lsn", kind="stable").drop_duplicates(
-        ["repo", "path"], keep="last")
-    if drop_tombstones and "_op" in df.columns:
-        df = df[df["_op"] != "D"]
-    return df
+def _conform(t: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``t`` with exactly ``schema``'s columns: missing ones as typed
+    nulls, present ones cast to the unified type."""
+    cols = []
+    for f in schema:
+        if f.name not in t.column_names:
+            cols.append(pa.nulls(t.num_rows, f.type))
+        elif t.schema.field(f.name).type != f.type:
+            cols.append(t[f.name].cast(f.type))
+        else:
+            cols.append(t[f.name])
+    return pa.Table.from_arrays(cols, schema=schema)
 
 
 def read_lake(lake_dir: str, manifests: dict | None = None,
@@ -51,7 +55,9 @@ def read_lake(lake_dir: str, manifests: dict | None = None,
 
     Partitions whose file run has deltas (write_mode="delta") are merged
     on read — one task per partition, no shuffle (a partition's files are
-    co-located by construction)."""
+    co-located by construction), each folding its run with
+    ``state.merge.merge_runs``. Both paths emit one metadata-free schema
+    (_union_schema) from every task."""
     from thor_ray.state import load_manifests
 
     ms = manifests if manifests is not None else load_manifests(lake_dir)
@@ -62,6 +68,7 @@ def read_lake(lake_dir: str, manifests: dict | None = None,
     all_files = [f for fs in files_of.values() for f in fs]
     if not all_files:
         return ray.data.from_items([])
+    union = _union_schema(all_files)
 
     needs_merge = any(len(fs) > 1 for fs in files_of.values())
     # while an incremental snapshot is in progress, even single-file
@@ -73,10 +80,11 @@ def read_lake(lake_dir: str, manifests: dict | None = None,
     if not needs_merge:
         # compacted lake: plain parallel parquet read (tombstone-free)
         # partitioning=None: the part=NNNNN dirs are layout, not hive columns
-        ds = ray.data.read_parquet(all_files, partitioning=None, **read_kwargs)
+        ds = ray.data.read_parquet(all_files, partitioning=None,
+                                   schema=union, **read_kwargs)
         if not keep_internal:
             ds = ds.drop_columns(
-                [c for c in INTERNAL_COLS if c in ds.schema().names])
+                [c for c in INTERNAL_COLS if c in union.names])
         return ds
 
     items = pa.table({
@@ -92,28 +100,27 @@ def read_lake(lake_dir: str, manifests: dict | None = None,
     if columns:
         read_cols = list(dict.fromkeys(
             ["repo", "path"] + INTERNAL_COLS + list(columns)))
+        out_schema = pa.schema([union.field(c) for c in columns
+                                if c in union.names])
+    else:
+        out_schema = pa.schema([f for f in union if keep_internal
+                                or f.name not in INTERNAL_COLS])
 
-    def merge_task(batch: pd.DataFrame) -> pd.DataFrame:
+    def merge_task(batch: pa.Table) -> pa.Table:
         outs = []
-        for fj in batch["files"]:
-            frames = []
+        for fj in batch["files"].to_pylist():
+            runs = []
             for f in json.loads(fj):
-                cols_f = None
-                if read_cols is not None:
-                    have = set(pq.read_schema(f).names)
-                    cols_f = [c for c in read_cols if c in have]
-                frames.append(pq.read_table(f, columns=cols_f).to_pandas())
-            df = merge_state_frames(frames)
-            if not keep_internal:
-                df = df.drop(columns=[c for c in INTERNAL_COLS if c in df.columns])
-            if columns:
-                df = df[[c for c in columns if c in df.columns]]
-            outs.append(df)
-        return pd.concat(outs, ignore_index=True)
+                with pq.ParquetFile(f) as pf:
+                    cols_f = None if read_cols is None else \
+                        [c for c in read_cols if c in pf.schema_arrow.names]
+                    runs.append(pf.read(columns=cols_f))
+            outs.append(_conform(merge_runs(runs), out_schema))
+        return pa.concat_tables(outs)
 
     return (ray.data.from_arrow(items)
             .repartition(items.num_rows)
-            .map_batches(merge_task, batch_format="pandas", batch_size=None))
+            .map_batches(merge_task, batch_format="pyarrow", batch_size=None))
 
 
 def read_lake_at(lake_dir: str, epoch: int, keep_internal: bool = False,
@@ -237,7 +244,7 @@ def snapshot_diff(lake_dir: str, epoch_a: int,
 
 def read_partition_state(files: list[str]) -> pd.DataFrame:
     """One partition's current merged state, inside an apply task."""
-    return merge_state_frames([pq.read_table(f).to_pandas() for f in files])
+    return merge_runs([pq.read_table(f) for f in files]).to_pandas()
 
 
 def read_lineage(lake_dir: str, kind: str | None = None) -> pd.DataFrame:
@@ -367,29 +374,42 @@ def enrich_with_lake(ds: "ray.data.Dataset", lake_dir: str,
         concurrency=concurrency, batch_size=batch_size)
 
 
-def _bloom_prune(files: list[str], key_hashes, stats: dict | None
-                 ) -> list[str]:
-    """Skip run files whose footer bloom proves they contain NONE of the
-    queried keys (state/bloom.py). Footer-only metadata reads; files
-    written before blooms existed (no thor_bloom key) are always read.
-    Safe under merge-on-read: blooms have no false negatives and are
-    built over every written row including tombstones, so a skipped file
-    can contribute nothing to the queried keys' fold."""
-    from thor_ray.pipelines.cdc import _hash_impl
+def _may_hold(footer: dict | None, key_hashes, impl: str) -> bool:
+    """False only when a run file's footer bloom proves it holds none of
+    the keys (state/bloom.py); a file written before blooms existed (no
+    thor_bloom key) may hold anything. Safe under merge-on-read: blooms
+    have no false negatives and are built over every written row
+    including tombstones, so a skipped file contributes nothing to the
+    queried keys' fold."""
     from thor_ray.state import bloom as _bloom
 
-    impl = _hash_impl()
-    keep = []
-    for f in files:
-        md = pq.read_schema(f).metadata or {}
-        raw = md.get(b"thor_bloom")
-        if raw is None or _bloom.might_contain(
-                _bloom.decode_footer(raw), key_hashes, impl).any():
-            keep.append(f)
+    raw = (footer or {}).get(b"thor_bloom")
+    return raw is None or bool(_bloom.might_contain(
+        _bloom.decode_footer(raw), key_hashes, impl).any())
+
+
+def _count_pruning(stats: dict | None, total: int, read: int) -> None:
     if stats is not None:
-        stats["files_total"] = stats.get("files_total", 0) + len(files)
-        stats["files_read"] = stats.get("files_read", 0) + len(keep)
+        stats["files_total"] = stats.get("files_total", 0) + total
+        stats["files_read"] = stats.get("files_read", 0) + read
+
+
+def _bloom_prune(files: list[str], key_hashes, stats: dict | None
+                 ) -> list[str]:
+    """The run files whose footer bloom may hold one of the keys
+    (_may_hold), from footer-only metadata reads."""
+    from thor_ray.pipelines.cdc import _hash_impl
+
+    impl = _hash_impl()
+    keep = [f for f in files
+            if _may_hold(pq.read_schema(f).metadata, key_hashes, impl)]
+    _count_pruning(stats, len(files), len(keep))
     return keep
+
+
+def _key_strings(t: pa.Table) -> pa.ChunkedArray:
+    """One string per (repo, path) row, for exact key-set membership."""
+    return pc.binary_join_element_wise(t["repo"], t["path"], "\x00")
 
 
 def lake_lookup(lake_dir: str, keys: "list[tuple[str, str]]",
@@ -398,13 +418,24 @@ def lake_lookup(lake_dir: str, keys: "list[tuple[str, str]]",
     key hashes to its owning partition with the SAME stable hash the
     ingest router uses (pipelines/cdc.py route: stable_hash % P), so
     looking up k keys reads at most k partitions' file runs and never
-    scans the lake; within a partition, footer blooms skip run files that
-    contain none of the keys (_bloom_prune — the LSM point-read path).
-    Runs driver-side (point reads are answer-sized; a
-    partition's merged state must fit in memory, same assumption as the
-    apply task). Missing keys are simply absent from the result.
-    Pass ``stats={}`` to collect {files_total, files_read} pruning
-    counters."""
+    scans the lake.
+
+    Within a partition each run file is opened ONCE: its footer bloom
+    decides whether to read it at all (_may_hold — the LSM point-read
+    path), and a kept file yields only the rows whose ``path`` is one of
+    the partition's queried paths (a filter pushed into the parquet scan;
+    a superset, since paths repeat across repos). The exact (repo, path)
+    match and the ``merge_runs`` fold then run on those rows alone, so
+    the work is answer-sized, not partition-sized. Partitions are read in
+    parallel threads (pyarrow releases the GIL while it reads). Runs
+    driver-side. Missing keys are simply absent from the result. Pass
+    ``stats={}`` to collect {files_total, files_read} pruning counters."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    import pyarrow.dataset as pads
+    from pyarrow import fs as pafs
+
+    from thor_ray.pipelines.cdc import _hash_impl
     from thor_ray.state import load_manifests
     from thor_ray.stages.smt import stable_hash
 
@@ -413,28 +444,44 @@ def lake_lookup(lake_dir: str, keys: "list[tuple[str, str]]",
         return pd.DataFrame()
     P = len(ms)
     _routing_guard(lake_dir, P, "lake_lookup")
+    if not keys:
+        return pd.DataFrame()
     kt = pa.table({"repo": pa.array([r for r, _ in keys], pa.string()),
                    "path": pa.array([p for _, p in keys], pa.string())})
     kh = stable_hash(kt, ["repo", "path"])
-    kdf = pd.DataFrame({"repo": kt["repo"].to_pylist(),
-                        "path": kt["path"].to_pylist(), "pid": kh % P,
-                        "kh": kh})
+    owner = kh % P
+    impl = _hash_impl()
+    fmt, local = pads.ParquetFileFormat(), pafs.LocalFileSystem()
+
+    def probe(pid: int) -> tuple[int, list[pa.Table]]:
+        sel = np.flatnonzero(owner == pid)
+        want = kt.take(sel)
+        on_path = pc.field("path").isin(pc.unique(want["path"]))
+        wanted = pc.unique(_key_strings(want))
+        files = ms[pid].files
+        runs = []
+        for f in files:
+            frag = fmt.make_fragment(os.path.abspath(f), filesystem=local)
+            if not _may_hold(frag.physical_schema.metadata, kh[sel], impl):
+                continue
+            t = frag.to_table(filter=on_path)
+            runs.append(t.filter(pc.is_in(_key_strings(t), wanted)))
+        return len(files), runs
+
+    pids = [int(p) for p in np.unique(owner)]
+    with ThreadPoolExecutor(min(len(pids), os.cpu_count() or 1)) as pool:
+        probed = list(pool.map(probe, pids))
     outs = []
-    for pid, grp in kdf.groupby("pid"):
-        files = _bloom_prune(ms[int(pid)].files,
-                             grp["kh"].to_numpy(), stats)
-        if not files:
-            continue
-        state = read_partition_state(files)
-        if state.empty:
-            continue
-        hit = state.merge(grp[["repo", "path"]], on=["repo", "path"])
-        outs.append(hit.drop(columns=[c for c in INTERNAL_COLS
-                                      if c in hit.columns]))
+    for n_files, runs in probed:
+        _count_pruning(stats, n_files, len(runs))
+        if runs:
+            outs.append(merge_runs(runs))
     if not outs:
         return pd.DataFrame()
-    return pd.concat(outs, ignore_index=True) \
-        .sort_values(["repo", "path"]).reset_index(drop=True)
+    hit = pa.concat_tables(outs, promote_options="permissive")
+    hit = hit.drop_columns([c for c in INTERNAL_COLS if c in hit.column_names])
+    return hit.sort_by([("repo", "ascending"), ("path", "ascending")]) \
+        .to_pandas()
 
 
 def maintain_group_counts(counts: "pd.DataFrame | None",
@@ -472,8 +519,6 @@ def lake_stats(lake_dir: str, ndv_cols: "tuple[str, ...]" = ("repo", "lang"),
     data. Returns {"rows", "content_bytes", "columns": {col: {"nulls",
     "ndv"?}}} — the planning/observability input (skew checks, join-side
     sizing, retention audits)."""
-    import pyarrow.compute as pc
-
     from thor_ray.ops.sketch import _hll_estimate, _hll_registers
     from thor_ray.stages.smt import stable_hash
 
@@ -710,11 +755,7 @@ def read_changefeed_full(lake_dir: str, after_epoch: int,
     def with_before(b: pd.DataFrame) -> pa.Table:
         outs = []
         for r in b.itertuples(index=False):
-            fold = merge_state_frames(
-                [read_pruned(f).to_pandas() for f in json.loads(r.base)])
-            for c in pay_cols:           # older base may predate a column
-                if c not in fold.columns:
-                    fold[c] = None
+            fold = merge_runs([read_pruned(f) for f in json.loads(r.base)])
             for e, p in json.loads(r.tail):
                 t = read_pruned(p)
                 if (t.schema.metadata or {}).get(b"thor_kind") != b"delta":
@@ -726,7 +767,13 @@ def read_changefeed_full(lake_dir: str, after_epoch: int,
                 for c in pay_cols:
                     if c not in d.columns:
                         d[c] = None
-                prev = fold[["repo", "path"] + pay_cols + ["_lsn"]].rename(
+                # only the fold rows of keys this epoch touched convert
+                prev = fold.filter(pc.is_in(
+                    _key_strings(fold), _key_strings(t))).to_pandas()
+                for c in pay_cols:       # older base may predate a column
+                    if c not in prev.columns:
+                        prev[c] = None
+                prev = prev[["repo", "path"] + pay_cols + ["_lsn"]].rename(
                     columns={**{c: f"before_{c}" for c in pay_cols},
                              "_lsn": "before_lsn"})
                 out = d.merge(prev, on=["repo", "path"], how="left")
@@ -737,7 +784,7 @@ def read_changefeed_full(lake_dir: str, after_epoch: int,
                 out = out.rename(columns={"_op": "op", "_lsn": "lsn"})
                 out["epoch"] = np.int64(e)
                 outs.append(out[out_cols])
-                fold = merge_state_frames([fold, d])
+                fold = merge_runs([fold, t])
         if not outs:
             return out_schema.empty_table()
         res = pd.concat(outs, ignore_index=True)
@@ -1050,10 +1097,9 @@ def replicate_lake(src_lake: str, dst_lake: str, group: str = "default",
                     pq.write_table(t, tmp)
 
             storage_for(dst).put_atomic(dst, stage)
-            import pyarrow.compute as _pc
             lsn = pq.read_table(src, columns=["_lsn"])["_lsn"]
             n = len(lsn)
-            max_lsn = int(_pc.max(lsn).as_py() or 0) if n else 0
+            max_lsn = int(pc.max(lsn).as_py() or 0) if n else 0
             rows.append({"epoch": e, "pid": pid, "dst": dst, "rows": n,
                          "max_lsn": max_lsn})
         return pd.DataFrame(rows)

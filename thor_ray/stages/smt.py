@@ -270,10 +270,14 @@ def header_col(name: str) -> str:
 
 
 def insert_header(name: str, value: Any) -> Transform:
-    """InsertHeader: add a literal-valued header to every record."""
+    """InsertHeader: add a literal-valued header to every record. The
+    column type is the literal's, so an empty batch carries the same
+    field type as a full one."""
+    typ = pa.scalar(value).type
+
     def fn(t: Batch) -> Batch:
         return t.append_column(header_col(name),
-                               pa.array([value] * len(t)))
+                               pa.array([value] * len(t), type=typ))
     return fn
 
 

@@ -620,12 +620,17 @@ def storage_for(path: str) -> Storage:
             strip = _strip_cache.get(key)
             if strip is None:
                 _, native = pafs.FileSystem.from_uri(p)
-                if not p.endswith(native):
-                    raise ValueError(
-                        f"storage_for: cannot derive native-path prefix "
-                        f"for {p!r} (from_uri native {native!r} is not a "
-                        f"suffix)")
-                strip = len(p) - len(native)
+                # from_uri decodes the path part (%20 → ' '), so the
+                # native path need not be a suffix of the URI: then strip
+                # the prefix verbatim — scheme + authority where the
+                # native path is rooted (file, hdfs), the scheme alone
+                # where it starts with the authority (s3/gs bucket)
+                if p.endswith(native):
+                    strip = len(p) - len(native)
+                elif native.startswith("/"):
+                    strip = len(key)
+                else:
+                    strip = len(key) - len(authority)
                 _strip_cache[key] = strip
             return p[strip:]
 
