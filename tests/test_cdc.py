@@ -1228,3 +1228,85 @@ def test_ddl_default_backfill(ray_session, tmp_path):
     got2 = normalize(pipe2.final_table().to_pandas())
     pd.testing.assert_frame_equal(got2, normalize(expected),
                                   check_dtype=False)
+
+
+def test_per_partition_bundles_run_without_ray_data(ray_session, tmp_path,
+                                                    monkeypatch):
+    """The epoch fold, compact(), compact_upto and deep fsck launch plain
+    Ray tasks: with ray.data.from_arrow refusing every call, a 2-epoch
+    pipelined spill run stays oracle-equal and the maintenance commands
+    come back clean. (No DDL, so the delta runs stay level-0 for
+    compact_upto to fold.)"""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from thor_ray.sources import compact_upto, fsck
+
+    base = gen.gen_base_table(n_repos=20, paths_per_repo=15, seed=13)
+    log = gen.gen_binlog(base, gen.BinlogConfig(
+        n_events=4_000, n_shards=3, dup_rate=0.05, shuffle_window=64,
+        ddl_every=0, delete_rate=0.08, update_rate=0.5, seed=13))
+    binlog_dir = str(tmp_path / "binlog")
+    log.write(binlog_dir)
+    base_path = str(tmp_path / "base.parquet")
+    pq.write_table(base, base_path)
+    expected, _ = oracle.apply_events(pa.concat_tables(log.shards),
+                                      initial=base)
+
+    def assert_oracle_equal(pipe):
+        got = normalize(pipe.final_table().to_pandas())
+        pd.testing.assert_frame_equal(got, normalize(expected),
+                                      check_dtype=False)
+
+    def refuse(*a, **kw):
+        raise AssertionError("ray.data.from_arrow called")
+
+    lake = str(tmp_path / "lake")
+    cfg = CdcConfig(lake_dir=lake, binlog_dir=binlog_dir, num_partitions=8,
+                    epoch_size=2_000, write_mode="delta")
+    pipe = CdcPipeline(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(ray.data, "from_arrow", refuse)
+        pipe.run(base=base_path)
+    assert len(pipe.reports) == 2
+    assert_oracle_equal(pipe)
+    with monkeypatch.context() as m:
+        m.setattr(ray.data, "from_arrow", refuse)
+        assert compact_upto(lake, 1) == 8
+        assert CdcPipeline(cfg).compact(all_partitions=True) == 8
+        chk = fsck(lake, deep=True)
+    assert chk["ok"], chk["errors"]
+    assert all(len(m.files) == 1 for m in load_manifests(lake).values())
+    assert_oracle_equal(pipe)
+
+
+def test_status_last_epoch_and_phase_split(ray_session, fixture, tmp_path):
+    """Every lineage epoch record splits the apply phase into spill and
+    fold; status() reports the newest one from that file alone, and None
+    before the first epoch."""
+    lake = str(tmp_path / "lake")
+    pipe = CdcPipeline(CdcConfig(lake_dir=lake,
+                                 binlog_dir=fixture["binlog_dir"],
+                                 num_partitions=8, epoch_size=4_000))
+    assert pipe.status()["last_epoch"] is None
+    pipe.run(base=fixture["base_path"])
+    assert len(pipe.reports) >= 3
+    paths = sorted(glob.glob(os.path.join(lake, "_lineage", "epoch-*.jsonl")))
+    recs = [json.loads(open(p).readline()) for p in paths]
+    for rec, rep in zip(recs, pipe.reports):
+        assert rec["type"] == "epoch"
+        assert set(rec["phase_sec"]) == {"ddl", "spill", "fold", "apply",
+                                         "commit"}
+        assert rec["phase_sec"] == rep.phase_sec
+        assert rec["phase_sec"]["fold"] <= rec["phase_sec"]["apply"]
+    # pipelined epochs spill during the previous fold: each still reports
+    # a stage-1 wall of its own
+    assert all(r.phase_sec["spill"] > 0 for r in pipe.reports)
+    # the older lineage files are never opened
+    for p in paths[:-1]:
+        with open(p, "w") as f:
+            f.write("not json\n")
+    last = pipe.status()["last_epoch"]
+    assert last == {k: recs[-1][k] for k in ("epoch", "wall_sec",
+                                             "events_per_sec", "phase_sec")}
+    assert last["epoch"] == pipe.reports[-1].epoch

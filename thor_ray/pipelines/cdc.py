@@ -9,7 +9,8 @@ Per epoch, expressed Ray-Data-first:
           directory) or a sort on pid ranges (object store only)
   APPLY   per pid: watermark-drop → lsn-dedup → last-writer-wins in
           Arrow/numpy (_reduce_slot_events), then merge with partition
-          state, DDL applied in lsn order                        (_fold_pids)
+          state, DDL applied in lsn order (_fold_pids)
+                                    (plain Ray tasks, one per spill slot)
   COMMIT  deterministic per-(pid,epoch) state file + atomic
           manifest swap — the only commit point (exactly-once)
   METRICS per-partition lineage + events/s JSON per epoch
@@ -54,6 +55,7 @@ from thor_ray.state import (Manifest, SchemaRegistry, archive_manifest,
                             write_manifest, write_snapshot_meta)
 from thor_ray.state.merge import dict_codes, merge_runs
 from thor_ray.state.storage import storage_for
+from thor_ray.state.tasks import fan_out, split
 
 BASE_COLS = ["repo", "path", "commit", "lang", "content"]
 # event columns the apply path needs — txn/ts/ddl are pruned at the read
@@ -183,9 +185,9 @@ class CdcConfig:
     # the epoch exchange, one per deployment shape:
     # "spill": Spark-style two-stage exchange through the filesystem —
     # stage 1 tasks split each block by pid-slot and write Arrow IPC spill
-    # files (lz4), stage 2 runs one task per slot over its files. Both
-    # stages are embarrassingly parallel; measured to scale where Ray's
-    # all-to-all ops flatten on this box. Retries are safe: spill names are
+    # files (lz4), stage 2 applies them (plain Ray tasks, one per spill
+    # slot). Both stages are embarrassingly parallel; measured to scale
+    # where Ray's all-to-all ops flatten. Retries are safe: spill names are
     # content-derived (overwrite) and the apply's lsn-dedup absorbs
     # leftovers. MULTI-NODE REQUIREMENT: exchange_dir (default
     # <lake>/_exchange) must live on storage every node can reach
@@ -329,7 +331,13 @@ class EpochReport:
     n_applied: dict = field(default_factory=dict)
     wall_sec: float = 0.0
     events_per_sec: float = 0.0
-    phase_sec: dict = field(default_factory=dict)  # ddl/apply/commit breakdown
+    # ddl/spill/fold/apply/commit seconds. apply is the whole exchange
+    # (stage 1 when not prespilled, stage 2, spill cleanup); spill is
+    # stage 1's own wall and fold the stage-2 task wall. Under
+    # pipeline_epochs an epoch's spill ran during the previous epoch's
+    # fold, so it is not part of this epoch's apply. The sort exchange
+    # reports spill 0 and fold = apply (exchange and fold are one job).
+    phase_sec: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------------
@@ -693,9 +701,9 @@ def _cleanup_exchange(ex_dir: str) -> None:
             pass
 
 
-def _apply_slot(batch: pd.DataFrame, *, ex_dir: str, ctx: dict,
+def _apply_slot(slots: list[int], *, ex_dir: str, ctx: dict,
                 n_slots: int, num_partitions: int) -> pd.DataFrame:
-    """Stage 2 of the spill exchange: one slot's files → apply every owned
+    """Stage 2 of the spill exchange: each slot's files → apply every owned
     pid (slot s owns {p : p % n_slots == s})."""
     # scheme-routed exchange dirs (s3://, file://) list/read through the
     # storage layer — workers auto-resolve the scheme via pyarrow.fs;
@@ -703,7 +711,7 @@ def _apply_slot(batch: pd.DataFrame, *, ex_dir: str, ctx: dict,
     remote = "://" in ex_dir
     store = storage_for(ex_dir)
     outs = []
-    for slot in batch["slot"].tolist():
+    for slot in slots:
         files = store.list(
             os.path.join(ex_dir, f"slot={slot:05d}", "b-*.arrow"))
         tables = []
@@ -718,6 +726,14 @@ def _apply_slot(batch: pd.DataFrame, *, ex_dir: str, ctx: dict,
                            range(slot, num_partitions, n_slots),
                            ctx=ctx, num_partitions=num_partitions)
     return pd.concat(outs, ignore_index=True)
+
+
+def _fold_group(pids: list[int], *, ctx: dict,
+                num_partitions: int) -> pd.DataFrame:
+    """compact()'s task: fold each pid in `pids` with no new events."""
+    return pd.concat(_fold_pids(None, pids, ctx=ctx,
+                                num_partitions=num_partitions),
+                     ignore_index=True)
 
 
 def _pid_sort(ds: "ray.data.Dataset", num_partitions: int,
@@ -1517,11 +1533,14 @@ class CdcPipeline:
                        route=cfg.route, route_on=cfg.route_on,
                        stages=tuple(stages))
 
-    def _run_spill(self, epoch: int, lo: int, hi: int) -> tuple[str, int]:
+    def _run_spill(self, epoch: int, lo: int, hi: int
+                   ) -> tuple[str, int, float]:
         """Stage 1 of the spill exchange for one epoch: read + route +
         per-slot spill. Independent of manifests/registry state, so it can
-        run concurrently with the PREVIOUS epoch's apply (pipeline_epochs)."""
+        run concurrently with the PREVIOUS epoch's apply (pipeline_epochs).
+        Returns (exchange dir, slot count, stage-1 wall seconds)."""
         cfg = self.cfg
+        t0 = time.perf_counter()
         ex_dir = os.path.join(cfg.exchange_root(), f"e{epoch:06d}")
         n_slots = cfg.n_apply_blocks()
         ds = binlog_src.read_epoch(cfg.binlog_dir, lo, hi,
@@ -1531,12 +1550,13 @@ class CdcPipeline:
         (ds.map_batches(self._make_router(epoch), batch_format="pyarrow")
            .map_batches(partial(_spill_stage1, ex_dir=ex_dir, n_slots=n_slots),
                         batch_format="pyarrow")
-           .sum("rows", ignore_nulls=True))  # execution barrier
-        return ex_dir, n_slots
+           .materialize())  # execution barrier
+        return ex_dir, n_slots, time.perf_counter() - t0
 
     def run_epoch(self, epoch: int, manifests: dict[int, Manifest] | None = None,
                   ceiling: int | None = None,
-                  prespilled: tuple[str, int] | None = None) -> EpochReport:
+                  prespilled: tuple[str, int, float] | None = None
+                  ) -> EpochReport:
         cfg = self.cfg
         t0 = time.perf_counter()
         manifests = manifests or load_manifests(cfg.lake_dir)
@@ -1597,20 +1617,18 @@ class CdcPipeline:
         }
 
         t_apply = time.perf_counter()
+        t_spill = 0.0
         if cfg.shuffle == "spill":
             # stage 1 (skipped when run() prespilled it concurrently with
             # the previous epoch's apply)
-            ex_dir, n_slots = prespilled or self._run_spill(epoch, lo, hi)
-            # stage 2: one task per slot
-            slots = pa.table({"slot": pa.array(list(range(n_slots)), type=pa.int64())})
-            cand = (
-                ray.data.from_arrow(slots)
-                .repartition(n_slots)
-                .map_batches(partial(_apply_slot, ex_dir=ex_dir, ctx=ctx,
-                                     n_slots=n_slots, num_partitions=P),
-                             batch_format="pandas", batch_size=None)
-                .to_pandas()
-            )
+            ex_dir, n_slots, t_spill = \
+                prespilled or self._run_spill(epoch, lo, hi)
+            # stage 2: one plain task per slot
+            t_fold = time.perf_counter()
+            cand = fan_out(_apply_slot, [[s] for s in range(n_slots)],
+                           ex_dir=ex_dir, ctx=ctx, n_slots=n_slots,
+                           num_partitions=P)
+            t_fold = time.perf_counter() - t_fold
             _cleanup_exchange(ex_dir)
         else:
             # one NOOP marker row per pid puts every partition in a block —
@@ -1641,6 +1659,8 @@ class CdcPipeline:
                 .to_pandas()
             )
         t_apply = time.perf_counter() - t_apply
+        if cfg.shuffle != "spill":
+            t_fold = t_apply   # the sort exchange and fold are one job
 
         # ---- commit: atomic per-partition manifest swaps --------------------
         t_commit = time.perf_counter()
@@ -1676,7 +1696,8 @@ class CdcPipeline:
                        "ddl_rejected": n_ddl_rejected},
             wall_sec=round(wall, 4),
             events_per_sec=round(n_events / wall, 1) if wall > 0 else 0.0,
-            phase_sec={"ddl": round(t_ddl, 3), "apply": round(t_apply, 3),
+            phase_sec={"ddl": round(t_ddl, 3), "spill": round(t_spill, 3),
+                       "fold": round(t_fold, 3), "apply": round(t_apply, 3),
                        "commit": round(t_commit, 3)},
         )
         self.reports.append(rep)
@@ -1862,18 +1883,9 @@ class CdcPipeline:
             if _retain_tombstones is None else _retain_tombstones,
         }
 
-        def fold_block(block: pd.DataFrame) -> pd.DataFrame:
-            return pd.concat(
-                _fold_pids(None, [int(p) for p in block["pid"]], ctx=ctx,
-                           num_partitions=cfg.num_partitions),
-                ignore_index=True)
-
-        pids = pa.table({"pid": pa.array(sorted(todo), type=pa.int64())})
-        cand = (ray.data.from_arrow(pids)
-                .repartition(min(len(todo), cfg.n_apply_blocks()))
-                .map_batches(fold_block, batch_format="pandas",
-                             batch_size=None)
-                .to_pandas())
+        cand = fan_out(_fold_group,
+                       split(sorted(todo), cfg.n_apply_blocks()),
+                       ctx=ctx, num_partitions=cfg.num_partitions)
         for r in cand.itertuples(index=False):
             m = Manifest(
                 partition_id=int(r.pid), epoch=int(r.epoch),
@@ -2352,7 +2364,8 @@ class CdcPipeline:
         """One-call ops summary — METADATA ONLY (manifests, registry,
         markers, parquet footers; no Ray jobs, no data reads): epochs and
         watermarks, binlog frontier and lag, schema version, retained
-        snapshots, savepoint tags, consumer-group offsets, DLQ backlog."""
+        snapshots, savepoint tags, consumer-group offsets, DLQ backlog,
+        and the newest epoch's lineage record (None before the first)."""
         import glob as _glob
 
         from thor_ray.sources.lake import consumer_groups
@@ -2391,7 +2404,20 @@ class CdcPipeline:
             "dlq_files": len(_glob.glob(os.path.join(
                 cfg.lake_dir, "_dlq", "dlq-*.parquet"))),
             "producer": self._producer_status(),
+            "last_epoch": self._last_epoch(),
         }
+
+    def _last_epoch(self) -> "dict | None":
+        """The newest lineage file's epoch record (its first line); the
+        older lineage files are not read."""
+        paths = glob.glob(os.path.join(self.cfg.lake_dir, "_lineage",
+                                       "epoch-*.jsonl"))
+        if not paths:
+            return None
+        with open(max(paths)) as f:
+            rec = json.loads(f.readline())
+        return {k: rec[k] for k in ("epoch", "wall_sec", "events_per_sec",
+                                    "phase_sec")}
 
     def _producer_status(self) -> "dict | None":
         """BinlogProducer state file, when the log has one (write edge)."""

@@ -50,6 +50,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from thor_ray.state.tasks import fan_out, split
+
 _MANIFEST = "_view_manifest.json"
 _KEY_COLS = ["repo", "path"]
 
@@ -225,19 +227,8 @@ class IncrementalView:
                   group_col=self.group_col, metric=self.metric,
                   e0=e0, e1=e1)
         ledgers = {int(k): v for k, v in man["keys"].items()}
-
-        def fold_block(block: pd.DataFrame) -> pd.DataFrame:
-            return pd.concat(
-                [_advance_partition(int(p), ledger_file=ledgers.get(int(p)),
-                                    **kw) for p in block["pid"]],
-                ignore_index=True)
-
-        deltas = (ray.data.from_arrow(
-                      pa.table({"pid": pa.array(pids, type=pa.int64())}))
-                  .repartition(min(len(pids), 32))
-                  .map_batches(fold_block, batch_format="pandas",
-                               batch_size=None)
-                  .to_pandas())
+        deltas = fan_out(_advance_group,
+                         split([(p, ledgers.get(p)) for p in pids], 32), **kw)
 
         if deltas.empty:
             deltas = pd.DataFrame({"grp": pd.Series(dtype="object"),
@@ -279,24 +270,10 @@ class IncrementalView:
         if not ms:
             raise ValueError(f"no lake manifests under {self.lake_dir}")
         e1 = min(m.epoch for m in ms.values())
-        files = {pid: m.files for pid, m in ms.items()}
-        kw = dict(view_dir=self.view_dir, group_col=self.group_col,
-                  metric=self.metric, e1=e1)
-
-        def rebuild_block(block: pd.DataFrame) -> pd.DataFrame:
-            outs = []
-            for p in block["pid"]:
-                outs.append(_rebuild_partition(
-                    int(p), files=files[int(p)], **kw))
-            return pd.concat(outs, ignore_index=True)
-
-        pids = sorted(files)
-        totals = (ray.data.from_arrow(
-                      pa.table({"pid": pa.array(pids, type=pa.int64())}))
-                  .repartition(min(len(pids), 32))
-                  .map_batches(rebuild_block, batch_format="pandas",
-                               batch_size=None)
-                  .to_pandas())
+        totals = fan_out(_rebuild_group,
+                         split([(p, ms[p].files) for p in sorted(ms)], 32),
+                         view_dir=self.view_dir, group_col=self.group_col,
+                         metric=self.metric, e1=e1)
         v = totals.groupby("grp", as_index=False)[["dn", "dm"]].sum() \
             .rename(columns={"grp": self.group_col, "dn": "n_rows",
                              "dm": "m_sum"}) \
@@ -311,7 +288,7 @@ class IncrementalView:
             "epoch": e1, "view": view_rel,
             "keys": {str(p): os.path.join(
                 "keys", f"part={p:05d}", f"keys-e{e1:06d}.parquet")
-                for p in pids},
+                for p in sorted(ms)},
             "group_col": self.group_col, "metric": self.metric,
             "lake_restores": restore_count(self.lake_dir),
         }
@@ -329,6 +306,18 @@ class IncrementalView:
             for f in glob.glob(pat):
                 if f not in live:
                     os.remove(f)
+
+
+def _advance_group(items: list, **kw) -> pd.DataFrame:
+    """advance()'s task: _advance_partition for each (pid, ledger file)."""
+    return pd.concat([_advance_partition(p, ledger_file=f, **kw)
+                      for p, f in items], ignore_index=True)
+
+
+def _rebuild_group(items: list, **kw) -> pd.DataFrame:
+    """rebuild()'s task: _rebuild_partition for each (pid, files)."""
+    return pd.concat([_rebuild_partition(p, files=f, **kw)
+                      for p, f in items], ignore_index=True)
 
 
 def _rebuild_partition(pid: int, *, files: list[str], view_dir: str,

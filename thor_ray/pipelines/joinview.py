@@ -54,6 +54,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from thor_ray.state.tasks import fan_out, split
+
 _MANIFEST = "_join_manifest.json"
 _KEY = ["repo", "path"]
 _RESERVED = set(_KEY) | {"a_live", "b_live"}
@@ -171,6 +173,20 @@ def _advance_jv_partition(pid: int, *, lake_a: str, lake_b: str,
     return pd.DataFrame({"pid": [pid], "n_keys": [len(led)],
                          "n_inner": [int((led["a_live"]
                                           & led["b_live"]).sum())]})
+
+
+def _advance_jv_group(items: list, **kw) -> pd.DataFrame:
+    """advance()'s task: _advance_jv_partition for each (pid, ledger
+    file)."""
+    return pd.concat([_advance_jv_partition(p, ledger_file=f, **kw)
+                      for p, f in items], ignore_index=True)
+
+
+def _rebuild_jv_group(items: list, **kw) -> pd.DataFrame:
+    """rebuild()'s task: _rebuild_jv_partition for each (pid, lake-A
+    files, lake-B files)."""
+    return pd.concat([_rebuild_jv_partition(p, files_a=fa, files_b=fb, **kw)
+                      for p, fa, fb in items], ignore_index=True)
 
 
 def _rebuild_jv_partition(pid: int, *, files_a: list[str],
@@ -305,23 +321,12 @@ class JoinView:
             return {"epoch_a": ea0, "epoch_b": eb0, "advanced": False}
         ledgers = {int(k): v for k, v in man["parts"].items()}
         pids = list(range(self.num_partitions))
-        kw = dict(lake_a=self.lake_a, lake_b=self.lake_b,
-                  view_dir=self.view_dir, src_a=self.src_a,
-                  src_b=self.src_b, out_a=self.out_a, out_b=self.out_b,
-                  ea0=ea0, ea1=ea1, eb0=eb0, eb1=eb1)
-
-        def fold_block(block: pd.DataFrame) -> pd.DataFrame:
-            return pd.concat(
-                [_advance_jv_partition(
-                    int(p), ledger_file=ledgers.get(int(p)), **kw)
-                 for p in block["pid"]], ignore_index=True)
-
-        stats = (ray.data.from_arrow(
-                     pa.table({"pid": pa.array(pids, type=pa.int64())}))
-                 .repartition(min(len(pids), 32))
-                 .map_batches(fold_block, batch_format="pandas",
-                              batch_size=None)
-                 .to_pandas())
+        stats = fan_out(
+            _advance_jv_group,
+            split([(p, ledgers.get(p)) for p in pids], 32),
+            lake_a=self.lake_a, lake_b=self.lake_b, view_dir=self.view_dir,
+            src_a=self.src_a, src_b=self.src_b, out_a=self.out_a,
+            out_b=self.out_b, ea0=ea0, ea1=ea1, eb0=eb0, eb1=eb1)
         self._commit(ea1, eb1, pids)
         return {"epoch_a": ea1, "epoch_b": eb1, "advanced": True,
                 "n_keys": int(stats["n_keys"].sum()),
@@ -338,26 +343,13 @@ class JoinView:
             raise ValueError("both lakes need committed manifests")
         ea1 = min(m.epoch for m in msa.values())
         eb1 = min(m.epoch for m in msb.values())
-        kw = dict(view_dir=self.view_dir, src_a=self.src_a,
-                  src_b=self.src_b, out_a=self.out_a, out_b=self.out_b,
-                  ea1=ea1, eb1=eb1)
         pids = list(range(self.num_partitions))
-        fa = {pid: m.files for pid, m in msa.items()}
-        fb = {pid: m.files for pid, m in msb.items()}
-
-        def fold_block(block: pd.DataFrame) -> pd.DataFrame:
-            return pd.concat(
-                [_rebuild_jv_partition(
-                    int(p), files_a=fa.get(int(p), []),
-                    files_b=fb.get(int(p), []), **kw)
-                 for p in block["pid"]], ignore_index=True)
-
-        stats = (ray.data.from_arrow(
-                     pa.table({"pid": pa.array(pids, type=pa.int64())}))
-                 .repartition(min(len(pids), 32))
-                 .map_batches(fold_block, batch_format="pandas",
-                              batch_size=None)
-                 .to_pandas())
+        stats = fan_out(
+            _rebuild_jv_group,
+            split([(p, msa[p].files if p in msa else [],
+                    msb[p].files if p in msb else []) for p in pids], 32),
+            view_dir=self.view_dir, src_a=self.src_a, src_b=self.src_b,
+            out_a=self.out_a, out_b=self.out_b, ea1=ea1, eb1=eb1)
         self._commit(ea1, eb1, pids)
         return {"epoch_a": ea1, "epoch_b": eb1, "advanced": True,
                 "n_keys": int(stats["n_keys"].sum()),

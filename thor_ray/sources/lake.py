@@ -20,6 +20,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from thor_ray.state.merge import merge_runs
+from thor_ray.state.tasks import fan_out, split
 
 INTERNAL_COLS = ["_lsn", "_sha", "_op"]
 
@@ -949,6 +950,38 @@ def consumer_groups(lake_dir: str) -> dict[str, int]:
     return out
 
 
+def _copy_runs(work: list, *, dst_abs: str,
+               keep_cols: "list[str] | None") -> pd.DataFrame:
+    """replicate_lake's task: copy each (epoch, pid, src) run file into
+    the replica (column-pruned to `keep_cols` when given)."""
+    import shutil
+
+    from thor_ray.state.storage import storage_for
+
+    rows = []
+    for e, pid, src in work:
+        out_dir = os.path.join(dst_abs, f"part={pid:05d}")
+        os.makedirs(out_dir, exist_ok=True)
+        dst = os.path.join(out_dir, f"state-e{e:06d}.parquet")
+
+        def stage(tmp: str, src=src) -> None:
+            if keep_cols is None:
+                shutil.copyfile(src, tmp)
+            else:
+                t = pq.read_table(src)
+                t = t.select([c for c in t.column_names if c in keep_cols])
+                t = t.replace_schema_metadata(pq.read_schema(src).metadata)
+                pq.write_table(t, tmp)
+
+        storage_for(dst).put_atomic(dst, stage)
+        lsn = pq.read_table(src, columns=["_lsn"])["_lsn"]
+        n = len(lsn)
+        max_lsn = int(pc.max(lsn).as_py() or 0) if n else 0
+        rows.append({"epoch": e, "pid": pid, "dst": dst, "rows": n,
+                     "max_lsn": max_lsn})
+    return pd.DataFrame(rows)
+
+
 def replicate_lake(src_lake: str, dst_lake: str, group: str = "default",
                    columns: list[str] | None = None,
                    max_epochs: int | None = None) -> dict:
@@ -988,7 +1021,6 @@ def replicate_lake(src_lake: str, dst_lake: str, group: str = "default",
     Returns ``{"epochs_applied", "upto_epoch", "caught_up", "rows",
     "stopped"}``."""
     import glob as _glob
-    import shutil
 
     from thor_ray.state import SchemaRegistry, load_manifests
     from thor_ray.state.manifest import Manifest, write_manifest
@@ -1075,44 +1107,9 @@ def replicate_lake(src_lake: str, dst_lake: str, group: str = "default",
         ["repo", "path"] + list(columns) + INTERNAL_COLS)
     dst_abs = os.path.abspath(dst_lake)
 
-    def copy_run(b: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for e, pid, src in zip(b["epoch"], b["pid"], b["src"]):
-            e, pid = int(e), int(pid)
-            out_dir = os.path.join(dst_abs, f"part={pid:05d}")
-            os.makedirs(out_dir, exist_ok=True)
-            from thor_ray.state.storage import storage_for
-
-            dst = os.path.join(out_dir, f"state-e{e:06d}.parquet")
-
-            def stage(tmp: str, src=src) -> None:
-                if keep_cols is None:
-                    shutil.copyfile(src, tmp)
-                else:
-                    t = pq.read_table(src)
-                    t = t.select([c for c in t.column_names
-                                  if c in keep_cols])
-                    t = t.replace_schema_metadata(
-                        pq.read_schema(src).metadata)
-                    pq.write_table(t, tmp)
-
-            storage_for(dst).put_atomic(dst, stage)
-            lsn = pq.read_table(src, columns=["_lsn"])["_lsn"]
-            n = len(lsn)
-            max_lsn = int(pc.max(lsn).as_py() or 0) if n else 0
-            rows.append({"epoch": e, "pid": pid, "dst": dst, "rows": n,
-                         "max_lsn": max_lsn})
-        return pd.DataFrame(rows)
-
-    items = pa.table({
-        "epoch": pa.array([e for e, _, _ in work], pa.int64()),
-        "pid": pa.array([p for _, p, _ in work], pa.int64()),
-        "src": pa.array([s for _, _, s in work], pa.string()),
-    })
-    stats = (ray.data.from_arrow(items)
-             .repartition(min(len(work), 128))
-             .map_batches(copy_run, batch_format="pandas", batch_size=None)
-             .to_pandas())   # one row per copied run file — metadata-sized
+    # one row per copied run file — metadata-sized
+    stats = fan_out(_copy_runs, split(work, 128), dst_abs=dst_abs,
+                    keep_cols=keep_cols)
 
     reg = SchemaRegistry.load(src_lake)
     reg.save(dst_lake)
@@ -1201,6 +1198,32 @@ def compact_lake(lake_dir: str, update_mode: str = "full") -> int:
     return pipe.compact()
 
 
+def _fold_upto(items: list, *, retain: bool, types: dict, lake_abs: str,
+               upto_epoch: int) -> pd.DataFrame:
+    """compact_upto's task: fold each (pid, old runs) into one base file
+    named for `upto_epoch`."""
+    from thor_ray.pipelines.cdc import (BASE_COLS, _content_hash,
+                                        _read_state, _write_state_file)
+
+    rows = []
+    for pid, olds in items:
+        df = _read_state(olds, keep_tombstones=True)
+        if not retain:
+            df = df[df["_op"] != "D"].assign(_op="U")
+        df = df.sort_values(["repo", "path"], kind="stable")
+        evolved = [c for c in df.columns
+                   if c not in BASE_COLS and c not in ("_lsn", "_sha", "_op")]
+        path = os.path.join(lake_abs, f"part={pid:05d}",
+                            f"state-e{upto_epoch:06d}.parquet")
+        _write_state_file(df, path, evolved,
+                          {c: types.get(c, "string") for c in evolved},
+                          kind="full")
+        live = df.loc[df["_op"] != "D", "_sha"] if retain else df["_sha"]
+        rows.append({"pid": pid, "base": path, "rows": len(df),
+                     "chash": _content_hash(live) if len(df) else ""})
+    return pd.DataFrame(rows)
+
+
 def compact_upto(lake_dir: str, upto_epoch: int, force: bool = False) -> int:
     """Partial (tiered) compaction: fold each partition's level-0 runs of
     epochs ≤ ``upto_epoch`` into ONE base file while KEEPING later runs
@@ -1221,8 +1244,6 @@ def compact_upto(lake_dir: str, upto_epoch: int, force: bool = False) -> int:
     running pipeline writer is fenced out, the same fail-closed rule as
     every maintenance command. One distributed fold task per partition.
     Returns partitions folded."""
-    from thor_ray.pipelines.cdc import (BASE_COLS, _content_hash,
-                                        _read_state, _write_state_file)
     from thor_ray.state import SchemaRegistry, load_manifests, snapshot_active
     from thor_ray.state.manifest import (Manifest, acquire_writer_gen,
                                          gc_lake, write_manifest)
@@ -1255,34 +1276,10 @@ def compact_upto(lake_dir: str, upto_epoch: int, force: bool = False) -> int:
     types = reg.types_at(reg.version)
     lake_abs = os.path.abspath(lake_dir)
 
-    def fold(b: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for pid in b["pid"]:
-            pid = int(pid)
-            olds, tails = todo[pid]
-            df = _read_state(olds, keep_tombstones=True)
-            if not retain:
-                df = df[df["_op"] != "D"].assign(_op="U")
-            df = df.sort_values(["repo", "path"], kind="stable")
-            evolved = [c for c in df.columns
-                       if c not in BASE_COLS
-                       and c not in ("_lsn", "_sha", "_op")]
-            path = os.path.join(lake_abs, f"part={pid:05d}",
-                                f"state-e{upto_epoch:06d}.parquet")
-            _write_state_file(df, path, evolved,
-                              {c: types.get(c, "string") for c in evolved},
-                              kind="full")
-            live = df.loc[df["_op"] != "D", "_sha"] if retain else df["_sha"]
-            rows.append({"pid": pid, "base": path,
-                         "rows": len(df),
-                         "chash": _content_hash(live) if len(df) else ""})
-        return pd.DataFrame(rows)
-
-    pids = pa.table({"pid": pa.array(sorted(todo), pa.int64())})
-    out = (ray.data.from_arrow(pids)
-           .repartition(min(len(todo), 64))
-           .map_batches(fold, batch_format="pandas", batch_size=None)
-           .to_pandas())
+    out = fan_out(_fold_upto,
+                  split([(pid, todo[pid][0]) for pid in sorted(todo)], 64),
+                  retain=retain, types=types, lake_abs=lake_abs,
+                  upto_epoch=upto_epoch)
     for r in out.itertuples(index=False):
         m = ms[int(r.pid)]
         tails = todo[int(r.pid)][1]
@@ -1294,6 +1291,23 @@ def compact_upto(lake_dir: str, upto_epoch: int, force: bool = False) -> int:
             m.lineage))
     gc_lake(lake_dir, load_manifests(lake_dir))
     return len(out)
+
+
+def _fsck_fold(items: list) -> pd.DataFrame:
+    """Deep fsck's task: fold each (pid, files, row_count, content_hash)
+    partition and compare its live rows and fingerprint with the
+    manifest. One row per error."""
+    from thor_ray.pipelines.cdc import _content_hash
+
+    errs = []
+    for pid, files, row_count, content_hash in items:
+        df = read_partition_state(files)
+        if row_count >= 0 and len(df) != row_count:
+            errs.append(f"part {pid}: folded rows {len(df)} != "
+                        f"manifest {row_count}")
+        if content_hash and _content_hash(df["_sha"]) != content_hash:
+            errs.append(f"part {pid}: content fingerprint mismatch")
+    return pd.DataFrame({"err": pd.Series(errs, dtype="object")})
 
 
 def fsck(lake_dir: str, deep: bool = False) -> dict:
@@ -1390,34 +1404,10 @@ def fsck(lake_dir: str, deep: bool = False) -> dict:
                         "row-count/fingerprint checks skipped")
         deep = False
     if deep and not errors:
-        from thor_ray.pipelines.cdc import _content_hash
-
-        man = {pid: {"files": m.files, "row_count": m.row_count,
-                     "content_hash": m.content_hash}
-               for pid, m in ms.items()}
-
-        def check(b: pd.DataFrame) -> pd.DataFrame:
-            errs = []
-            for pid in b["pid"]:
-                mm = man[int(pid)]
-                df = read_partition_state(mm["files"])
-                if mm["row_count"] >= 0 and len(df) != mm["row_count"]:
-                    errs.append(f"part {pid}: folded rows {len(df)} != "
-                                f"manifest {mm['row_count']}")
-                if mm["content_hash"]:
-                    got = _content_hash(df["_sha"])
-                    if got != mm["content_hash"]:
-                        errs.append(f"part {pid}: content fingerprint "
-                                    f"mismatch")
-            return pd.DataFrame({"err": pd.Series(errs, dtype="object")})
-
-        pids = pa.table({"pid": pa.array(sorted(ms), pa.int64())})
-        out = (ray.data.from_arrow(pids)
-               .repartition(min(len(ms), 64))
-               .map_batches(check, batch_format="pandas")
-               .to_pandas())
-        if len(out) and "err" in out.columns:
-            errors.extend(out["err"].tolist())
+        out = fan_out(_fsck_fold,
+                      split([(pid, m.files, m.row_count, m.content_hash)
+                             for pid, m in sorted(ms.items())], 64))
+        errors.extend(out["err"].tolist())
 
     return {"ok": not errors, "partitions": len(ms), "files": n_files,
             "errors": errors, "warnings": warnings}
